@@ -7,6 +7,8 @@ Three independent routes to the same numbers:
   and generating-function variants (`families`),
 * a brute-force vertex and face-lattice enumeration used as ground truth
   on small instances (`lattice`).
+
+The checks that tie the routes together live in `checks`.
 """
 
 from .engine import (EngineConfig, FaceCountEngine, FiberChild, Pick,
@@ -18,7 +20,7 @@ from .families import (Family, HPair, f_12k3, family_h, family_signature,
 from .lattice import (DEFAULT_LIMITS, Face, FaceLattice, FiberCheckReport,
                       FiberGroup, OracleLimits, ResourceLimitError,
                       TriangularTable, enumerate_vertices, face_lattice,
-                      fiber_decomposition_check, oracle_f_vector, tracked_cells)
+                      fiber_decomposition_check, tracked_cells)
 from .poly import IntPoly, SeriesRational, series_coeffs, z_mul
 from .signatures import (LevelSequence, ParseError, Signature, canonicalize,
                          dimension, iter_signatures, parse_level_sequence,
@@ -35,7 +37,7 @@ __all__ = [
     "DEFAULT_LIMITS", "Face", "FaceLattice", "FiberCheckReport", "FiberGroup",
     "OracleLimits", "ResourceLimitError", "TriangularTable",
     "enumerate_vertices", "face_lattice", "fiber_decomposition_check",
-    "oracle_f_vector", "tracked_cells",
+    "tracked_cells",
     "IntPoly", "SeriesRational", "series_coeffs", "z_mul",
     "LevelSequence", "ParseError", "Signature", "canonicalize", "dimension",
     "iter_signatures", "parse_level_sequence", "parse_signature",

@@ -6,8 +6,13 @@ Subcommands:
   gf      h-polynomials expanded from a family's generating function
   verify  cross-check sweeps (engine vs oracle, projection checks, ...)
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource limit exceeded.
+Exit codes:
+  0  success
+  1  a verification failed (a cross-check or a --check comparison)
+  2  usage error: bad arguments, malformed input, --json with --csv,
+     verify --max-s below 1, a negative GTFACES_ORACLE_MAX_S
+  3  resource limit: an oracle budget, or Python's recursion-depth limit
+     (the recurrence nests once per level of the sequence)
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ import sys
 import time
 from typing import Any, Sequence
 
-from . import families
-from .engine import EngineConfig, FaceCountEngine, f_polynomial, h_polynomial, simplex_f_polynomial
+from . import checks, families
+# re-exported because perfbench/worker.py reads gtfaces.cli.FIBER_CHECK_SIGNATURES
+from .checks import FIBER_CHECK_SIGNATURES  # noqa: F401
+from .engine import f_polynomial, h_polynomial
 from .families import Family
-from .lattice import (DEFAULT_LIMITS, OracleLimits, ResourceLimitError,
-                      face_lattice, fiber_decomposition_check)
+from .lattice import DEFAULT_LIMITS, OracleLimits, ResourceLimitError
 from .poly import IntPoly, series_coeffs
 from .signatures import (ParseError, Signature, canonicalize, dimension,
-                         iter_signatures, parse_level_sequence, parse_signature)
+                         parse_level_sequence, parse_signature)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,7 +51,8 @@ def _oracle_limits() -> OracleLimits:
     try:
         return OracleLimits(max_s=int(raw))
     except ValueError:
-        raise ParseError(f"{MAX_S_ENV} must be an integer, got {raw!r}") from None
+        raise ParseError(
+            f"{MAX_S_ENV} must be a nonnegative integer, got {raw!r}") from None
 
 
 def _vector_strings(p: IntPoly, length: int) -> list[str]:
@@ -204,144 +211,52 @@ def cmd_gf(args: argparse.Namespace, out: io.TextIOBase) -> int:
     return EXIT_OK
 
 
-def _check_oracle_vs_engine(max_s: int, limits: OracleLimits) -> tuple[bool, str]:
-    tested = 0
-    for s in range(1, max_s + 1):
-        for sig in iter_signatures(s):
-            got = face_lattice(sig, limits).f_vector
-            want = f_polynomial(sig).coeffs
-            if got != want:
-                return False, f"{sig.mults}: oracle {got} vs engine {want}"
-            tested += 1
-    return True, f"{tested} signatures, f-vectors identical"
-
-
-def _check_euler(max_s: int) -> tuple[bool, str]:
-    tested = 0
-    for s in range(1, max_s + 1):
-        for sig in iter_signatures(s):
-            if f_polynomial(sig).evaluate(-1) != 1:
-                return False, f"{sig.mults}: f(-1) != 1"
-            tested += 1
-    return True, f"{tested} signatures, f(-1) = 1"
-
-
-def _check_reversal(max_s: int) -> tuple[bool, str]:
-    tested = 0
-    for s in range(1, max_s + 1):
-        for sig in iter_signatures(s):
-            fwd = FaceCountEngine(EngineConfig(fold_reversals=False))
-            bwd = FaceCountEngine(EngineConfig(fold_reversals=False))
-            if fwd.f_polynomial(sig) != bwd.f_polynomial(sig.reversed()):
-                return False, f"{sig.mults}: f differs from reversed"
-            tested += 1
-    return True, f"{tested} signatures, reversal-invariant"
-
-
-def _check_dimension(max_s: int) -> tuple[bool, str]:
-    tested = 0
-    for s in range(1, max_s + 1):
-        for sig in iter_signatures(s):
-            if f_polynomial(sig).degree != dimension(sig):
-                return False, f"{sig.mults}: deg f != e2"
-            tested += 1
-    return True, f"{tested} signatures, deg f = e2"
-
-
-def _check_simplex_shortcut(max_m: int) -> tuple[bool, str]:
-    plain = FaceCountEngine(EngineConfig(simplex_shortcut=False))
-    for m in range(1, max_m + 1):
-        sig = Signature((1, m))
-        if plain.f_polynomial(sig) != simplex_f_polynomial(m):
-            return False, f"(1,{m}): shortcut disagrees with recursion"
-    return True, f"(1,m) for m <= {max_m} agree with the closed form"
-
-
-FIBER_CHECK_SIGNATURES = ((1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (2, 2), (2, 3))
-
-
-def _check_fibers(max_s: int, limits: OracleLimits) -> tuple[bool, str]:
-    tested = 0
-    for mults in FIBER_CHECK_SIGNATURES:
-        sig = Signature(mults)
-        if sig.s > max_s:
-            continue
-        report = fiber_decomposition_check(sig, limits)
-        if not report.ok:
-            return False, f"{mults}: {report.failures[0]}"
-        tested += 1
-    return True, f"{tested} signatures, projection checks hold"
-
-
-# hand value that circulates for the (2,3) member; the closed form, the
-# recurrence and the oracle all disagree with it in the same way
-LEGACY_223_K3_VECTOR = (1, 1, 1, 2, 1)
-
-
-def _adjudicate_223_k3(limits: OracleLimits, out: io.TextIOBase,
-                       quiet: bool) -> tuple[bool, str]:
-    sig = Signature((2, 3))
-    formula = families.h_223k(3)
-    engine = h_polynomial(sig)
-    lat = face_lattice(sig, limits)
-    oracle_h = IntPoly(lat.f_vector).shift(-1)
-    agree = formula == engine == oracle_h
-    legacy = IntPoly(LEGACY_223_K3_VECTOR)
-    verdict = {
-        "formula": formula.coeffs,
-        "engine": engine.coeffs,
-        "oracle": oracle_h.coeffs,
-        "legacy_value": legacy.coeffs,
-        "matches_legacy": formula == legacy,
-    }
-    if not quiet:
-        out.write("adjudication for GZ(2^2 3^3), h-vectors:\n")
-        out.write(f"  closed form : {formula.coeffs}\n")
-        out.write(f"  engine      : {engine.coeffs}\n")
-        out.write(f"  oracle      : {oracle_h.coeffs}\n")
-        out.write(f"  legacy value: {legacy.coeffs}"
-                  f"  (matches: {verdict['matches_legacy']})\n")
-    if not agree:
-        return False, f"three paths disagree: {verdict}"
-    side = "the closed form" if not verdict["matches_legacy"] else "the legacy value"
-    return True, f"all three paths agree on {formula.coeffs}; verdict sides with {side}"
-
-
 def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     limits = _oracle_limits()
+    if args.max_s < 1:
+        raise ParseError("--max-s must be >= 1")
     if args.max_s > limits.max_s:
         raise ResourceLimitError(
             f"--max-s {args.max_s} exceeds the oracle bound {limits.max_s} "
             f"(override with {MAX_S_ENV})")
-    engine_sweep_s = args.max_s
-    checks: list[tuple[str, bool, str]] = []
+    results: list[tuple[str, checks.CheckResult]] = []
     chatty = not args.json
 
-    def run(name: str, fn, *fn_args) -> None:
-        ok, detail = fn(*fn_args)
-        checks.append((name, ok, detail))
-        if chatty and (not args.quiet or not ok):
-            mark = "ok  " if ok else "FAIL"
-            out.write(f"{mark} {name}: {detail}\n")
+    def record(name: str, result: checks.CheckResult) -> None:
+        results.append((name, result))
+        if chatty and (not args.quiet or not result.ok):
+            mark = "ok  " if result.ok else "FAIL"
+            out.write(f"{mark} {name}: {result.detail}\n")
 
-    run("oracle-vs-engine", _check_oracle_vs_engine, args.max_s, limits)
-    run("euler", _check_euler, engine_sweep_s)
-    run("reversal", _check_reversal, engine_sweep_s)
-    run("dimension-degree", _check_dimension, engine_sweep_s)
-    run("simplex-shortcut", _check_simplex_shortcut, 6)
-    run("fiber-decomposition", _check_fibers, args.max_s, limits)
+    sweep = list(checks.signatures_up_to(args.max_s))
+    record("oracle-vs-engine", checks.oracle_vs_engine(sweep, limits))
+    record("euler", checks.euler(sweep))
+    record("reversal", checks.reversal(sweep))
+    record("dimension-degree", checks.dimension_degree(sweep))
+    record("simplex-shortcut", checks.simplex_shortcut(6))
+    fiber_sigs = [Signature(m) for m in checks.FIBER_CHECK_SIGNATURES
+                  if sum(m) <= args.max_s]
+    record("fiber-decomposition", checks.fiber_decomposition(fiber_sigs, limits))
     if args.adjudicate_223_k3:
-        run("adjudicate-223-k3", _adjudicate_223_k3, limits, out,
-            args.quiet or not chatty)
+        adj = checks.adjudicate_223_k3(limits)
+        if chatty and not args.quiet:
+            out.write("adjudication for GZ(2^2 3^3), h-vectors:\n")
+            out.write(f"  closed form : {adj.formula.coeffs}\n")
+            out.write(f"  engine      : {adj.engine.coeffs}\n")
+            out.write(f"  oracle      : {adj.oracle.coeffs}\n")
+            out.write(f"  legacy value: {adj.legacy.coeffs}"
+                      f"  (matches: {adj.matches_legacy})\n")
+        record("adjudicate-223-k3", adj.result)
 
-    failed = [name for name, ok, _ in checks if not ok]
+    failed = [name for name, result in results if not result.ok]
     if args.json:
         _emit_json({
-            "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
+            "checks": [{"name": n, "passed": r.ok, "detail": r.detail}
+                       for n, r in results],
             "ok": not failed,
         }, out)
     else:
-        out.write(f"{len(checks) - len(failed)}/{len(checks)} checks passed\n")
+        out.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -353,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--csv", action="store_true", help="emit CSV")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", help="emit JSON")
+        fmt.add_argument("--csv", action="store_true", help="emit CSV")
         p.add_argument("--quiet", action="store_true", help="suppress chatter")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
@@ -409,6 +325,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"gtfaces: resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print(f"gtfaces: resource limit: input nests deeper than the recursion-depth "
+              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_RESOURCE
     finally:
         if close_out:

@@ -36,6 +36,11 @@ class OracleLimits:
     max_candidates: int = 2_000_000  # integer tables visited by the DFS
     max_faces: int = 500_000         # faces generated by the closure
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
 
 DEFAULT_LIMITS = OracleLimits()
 
@@ -416,8 +421,3 @@ def fiber_decomposition_check(sig: Signature,
                                  tuple(expected), got))
     return FiberCheckReport(sig, not failures, tuple(failures), tuple(groups))
 
-
-def oracle_f_vector(sig: Signature,
-                    limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, ...]:
-    """Convenience wrapper: the f-vector from the enumerated lattice."""
-    return face_lattice(sig, limits).f_vector

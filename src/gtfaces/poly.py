@@ -199,10 +199,8 @@ def z_mul(a: Sequence[IntPoly], b: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
 class SeriesRational:
     """num(s, z) / den(s, z), both stored as z-coefficient lists of IntPoly.
 
-    The denominator must be a nonzero integer constant at z = 0; the
-    constructor divides it out so that expansion stays in integer
-    coefficients (the division must be exact, which it is for every
-    denominator used here since they all have constant term 1).
+    The denominator must be exactly 1 at z = 0, which keeps the expansion
+    in integer coefficients; every generating function here has that form.
     """
 
     numerator: tuple[IntPoly, ...]
@@ -215,25 +213,8 @@ class SeriesRational:
             num.pop()
         while den and den[-1].is_zero():
             den.pop()
-        if not den:
-            raise ValueError("denominator is the zero polynomial")
-        c0 = den[0]
-        if c0.is_zero() or c0.degree > 0:
-            raise ValueError("denominator at z=0 must be a nonzero constant")
-        c = c0.coeffs[0]
-        if c != 1:
-            def exact_div(p: IntPoly) -> IntPoly:
-                out = []
-                for x in p.coeffs:
-                    q, r = divmod(x, c)
-                    if r:
-                        raise ValueError(
-                            f"coefficient {x} not divisible by the constant term {c}")
-                    out.append(q)
-                return IntPoly(out)
-
-            num = [exact_div(p) for p in num]
-            den = [exact_div(p) for p in den]
+        if not den or den[0] != 1:
+            raise ValueError("denominator at z=0 must be the constant 1")
         object.__setattr__(self, "numerator", tuple(num))
         object.__setattr__(self, "denominator", tuple(den))
 

@@ -85,24 +85,18 @@ class Signature:
 
 def parse_level_sequence(text: str) -> LevelSequence:
     """Parse a comma-separated list of decimal integers / half-integers."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    if tokens == [""]:
-        raise ParseError("empty level sequence")
     values: list[Fraction] = []
-    for tok in tokens:
+    for tok in (tok.strip() for tok in text.split(",")):
         if not tok:
             raise ParseError(f"empty token in level sequence {text!r}")
         try:
-            v = Fraction(tok)
+            values.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"cannot parse level value {tok!r}") from None
-        if v.denominator not in (1, 2):
-            raise ParseError(f"level value {tok!r} is not an integer or half-integer")
-        values.append(v)
-    for prev, cur, tok in zip(values, values[1:], tokens[1:]):
-        if prev > cur:
-            raise ParseError(f"level sequence is not nondecreasing at token {tok!r}")
-    return LevelSequence(tuple(values))
+    try:
+        return LevelSequence(tuple(values))
+    except ValueError as exc:
+        raise ParseError(f"bad level sequence {text!r}: {exc}") from None
 
 
 def parse_signature(text: str) -> Signature:

@@ -5,21 +5,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines; plain
 """
 
 import time
-from functools import cache
 
-from gtfaces.engine import (EngineConfig, FaceCountEngine, f_polynomial,
-                            h_polynomial, simplex_f_polynomial)
+from gtfaces import checks
+from gtfaces.engine import f_polynomial, h_polynomial
 from gtfaces.families import (Family, HPair, f_12k3, generating_function,
                               h_12k3, h_123k, h_223k, h_pair_matrix, phi,
                               phi_root_form_value)
-from gtfaces.lattice import face_lattice, fiber_decomposition_check
-from gtfaces.poly import IntPoly, series_coeffs
-from gtfaces.signatures import Signature, dimension, iter_signatures
-
-
-@cache
-def _lattice(mults):
-    return face_lattice(Signature(mults))
+from gtfaces.lattice import face_lattice
+from gtfaces.poly import series_coeffs
+from gtfaces.signatures import Signature
 
 
 def _report(num, ok, detail):
@@ -31,7 +25,7 @@ def test_criterion_01_gz123_f_vector_three_ways():
     start = time.perf_counter()
     want = (7, 11, 6, 1)
     via_engine = f_polynomial(Signature((1, 1, 1))).coeffs
-    via_oracle = _lattice((1, 1, 1)).f_vector
+    via_oracle = face_lattice(Signature((1, 1, 1))).f_vector
     via_family = f_12k3(1).coeffs
     elapsed = time.perf_counter() - start
     ok = via_engine == via_oracle == via_family == want and elapsed < 1.0
@@ -64,15 +58,12 @@ def test_criterion_03_h_of_123k_at_k3_three_ways():
 
 def test_criterion_04_oracle_equals_engine_up_to_s5():
     start = time.perf_counter()
-    tested = 0
-    for s in range(1, 6):
-        for sig in iter_signatures(s):
-            assert _lattice(sig.mults).f_vector == f_polynomial(sig).coeffs, sig
-            tested += 1
+    sigs = list(checks.signatures_up_to(5))
+    ok, detail = checks.oracle_vs_engine(sigs)
     elapsed = time.perf_counter() - start
-    ok = tested == sum(2 ** (s - 1) for s in range(1, 6)) and elapsed < 120.0
-    _report(4, ok, f"oracle == engine on all {tested} signatures with s <= 5 "
-                   f"in {elapsed:.1f}s")
+    ok = ok and len(sigs) == sum(2 ** (s - 1) for s in range(1, 6)) and elapsed < 120.0
+    _report(4, ok, f"oracle == engine on all {len(sigs)} signatures with s <= 5 "
+                   f"in {elapsed:.1f}s" + ("" if ok else f"; {detail}"))
 
 
 def test_criterion_05_generating_functions_to_k12():
@@ -101,56 +92,36 @@ def test_criterion_07_matrix_path():
     _report(7, ok, "matrix-power pair equals per-k formulas for k <= 12")
 
 
-FIBER_SIGNATURES = ((1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (2, 2), (2, 3))
-
-
 def test_criterion_08_fiber_decomposition():
-    failures = []
-    for mults in FIBER_SIGNATURES:
-        report = fiber_decomposition_check(Signature(mults),
-                                           lattice=_lattice(mults))
-        if not report.ok:
-            failures.append((mults, report.failures[:1]))
-    _report(8, not failures,
-            f"fiber decomposition verified on {len(FIBER_SIGNATURES)} signatures"
-            + (f"; failures: {failures}" if failures else ""))
+    sigs = [Signature(m) for m in checks.FIBER_CHECK_SIGNATURES]
+    ok, detail = checks.fiber_decomposition(sigs)
+    _report(8, ok, f"fiber decomposition verified on {len(sigs)} signatures"
+                   + ("" if ok else f"; failure: {detail}"))
 
 
 def test_criterion_09_property_suite_up_to_s6():
-    ok = True
-    for s in range(1, 7):
-        for sig in iter_signatures(s):
-            f = f_polynomial(sig)
-            ok = ok and f.evaluate(-1) == 1
-            ok = ok and f.degree == dimension(sig)
-            fwd = FaceCountEngine(EngineConfig(fold_reversals=False))
-            bwd = FaceCountEngine(EngineConfig(fold_reversals=False))
-            ok = ok and fwd.f_polynomial(sig) == bwd.f_polynomial(sig.reversed())
-    plain = FaceCountEngine(EngineConfig(simplex_shortcut=False))
-    for m in range(1, 7):
-        ok = ok and plain.f_polynomial(Signature((1, m))) == simplex_f_polynomial(m)
-    _report(9, ok, "Euler, reversal, degree law on all s <= 6; "
-                   "simplex shortcut == plain recursion for m <= 6")
+    sigs = list(checks.signatures_up_to(6))
+    results = [checks.euler(sigs), checks.reversal(sigs),
+               checks.dimension_degree(sigs), checks.simplex_shortcut(6)]
+    failures = [detail for ok, detail in results if not ok]
+    _report(9, not failures, "Euler, reversal, degree law on all s <= 6; "
+                             "simplex shortcut == plain recursion for m <= 6"
+                             + (f"; failures: {failures}" if failures else ""))
 
 
 def test_criterion_10_adjudicate_gz22_33():
     start = time.perf_counter()
-    sig = Signature((2, 3))
-    formula = h_223k(3)
-    engine = h_polynomial(sig)
-    oracle = IntPoly(_lattice((2, 3)).f_vector).shift(-1)
+    adj = checks.adjudicate_223_k3()
     elapsed = time.perf_counter() - start
-    agree = formula == engine == oracle
-    legacy = IntPoly((1, 1, 1, 2, 1))
-    matches_formula_value = formula.coeffs == (1, 1, 1, 1, 2, 3, 1)
-    ok = agree and elapsed < 60.0
+    matches_formula_value = adj.formula.coeffs == (1, 1, 1, 1, 2, 3, 1)
+    ok = adj.result.ok and elapsed < 60.0
     _report(10, ok,
             "h(GZ(2^2 3^3)): formula/engine/oracle all give "
-            f"{formula.coeffs}; equals hand value {legacy.coeffs}: "
-            f"{formula == legacy}; equals formula-derived value: "
+            f"{adj.formula.coeffs}; equals hand value {adj.legacy.coeffs}: "
+            f"{adj.matches_legacy}; equals formula-derived value: "
             f"{matches_formula_value} ({elapsed:.2f}s)")
     # the two independent computations side with the formula, not the hand value
-    assert matches_formula_value and formula != legacy
+    assert matches_formula_value and not adj.matches_legacy
 
 
 def test_criterion_11_phi_values_and_root_form():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gtfaces.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -146,6 +152,16 @@ def test_disagreement_exits_1(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_verify_planted_failure_exits_1(capsys, monkeypatch):
+    from gtfaces.poly import IntPoly
+
+    monkeypatch.setattr("gtfaces.checks.f_polynomial", lambda sig: IntPoly([2]))
+    code, out, _ = run(capsys, "verify", "--max-s", "2")
+    assert code == 1
+    assert "FAIL euler: (1,): f(-1) != 1" in out
+    assert "ok   reversal" in out
+
+
 def test_verify_trivial(capsys):
     code, out, _ = run(capsys, "verify", "--max-s", "1")
     assert code == 0
@@ -198,3 +214,18 @@ def test_quiet_human(capsys):
     code, out, _ = run(capsys, "f", "--signature", "1,1,1", "--quiet")
     assert code == 0
     assert out == "f-vector: 7 11 6 1\nh-vector: 1 2 3 1\n"
+
+
+@pytest.mark.parametrize("argv, env, code", [
+    (["f", "--signature", "2,600"], {}, 3),
+    (["f", "--signature", "1,1,1", "--json", "--csv"], {}, 2),
+    (["verify", "--max-s", "0"], {}, 2),
+    (["verify", "--max-s", "2"], {"GTFACES_ORACLE_MAX_S": "-1"}, 2),
+], ids=["recursion-depth", "json-with-csv", "max-s-zero", "negative-oracle-budget"])
+def test_bad_input_exits_cleanly(argv, env, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    proc = subprocess.run([sys.executable, "-m", "gtfaces", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(("gtfaces: ", "usage: "))
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from gtfaces.engine import f_polynomial
+from gtfaces import checks
 from gtfaces.lattice import (OracleLimits, ResourceLimitError, TriangularTable,
                              enumerate_vertices, face_lattice,
                              fiber_decomposition_check, tracked_cells)
@@ -58,14 +58,14 @@ def test_face_lattice_examples():
 
 @pytest.mark.parametrize("s", range(1, 5))
 def test_oracle_agrees_with_engine(s):
-    for sig in iter_signatures(s):
-        assert face_lattice(sig).f_vector == f_polynomial(sig).coeffs
+    ok, detail = checks.oracle_vs_engine(iter_signatures(s))
+    assert ok, detail
 
 
 def test_oracle_agrees_with_engine_s6_spots():
-    for mults in [(1, 5), (2, 4), (3, 3)]:
-        sig = Signature(mults)
-        assert face_lattice(sig).f_vector == f_polynomial(sig).coeffs
+    ok, detail = checks.oracle_vs_engine(
+        Signature(m) for m in [(1, 5), (2, 4), (3, 3)])
+    assert ok, detail
 
 
 @pytest.mark.parametrize("s", range(1, 5))
@@ -120,11 +120,13 @@ def test_tracked_cells():
 @pytest.mark.parametrize("mults", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1),
                                    (2, 2), (2, 3), (1, 2)])
 def test_fiber_decomposition(mults):
-    report = fiber_decomposition_check(Signature(mults))
-    assert report.ok, report.failures
-    assert len(report.groups) == 3 ** (len(mults) - 1)
+    sig = Signature(mults)
+    ok, detail = checks.fiber_decomposition([sig])
+    assert ok, detail
     # the groups partition the faces: totals match the face count
-    lat = face_lattice(Signature(mults))
+    report = fiber_decomposition_check(sig)
+    assert len(report.groups) == 3 ** (len(mults) - 1)
+    lat = face_lattice(sig)
     assert sum(sum(g.observed) for g in report.groups) == sum(lat.f_vector)
 
 

@@ -141,17 +141,17 @@ def test_series_coeffs_rejects_negative():
 
 
 def test_series_normalization():
-    # constant 2 divides through exactly
-    r = SeriesRational((IntPoly([2]), IntPoly([0, 4])),
-                       (IntPoly([2]), IntPoly([-2])))
-    assert r.denominator[0] == IntPoly([1])
-    assert [p.coeffs for p in r.numerator] == [(1,), (0, 2)]
+    r = SeriesRational((IntPoly([1]), IntPoly([0, 4]), IntPoly()),
+                       (IntPoly([1]), IntPoly([-2]), IntPoly()))
+    assert [p.coeffs for p in r.numerator] == [(1,), (0, 4)]
+    assert [p.coeffs for p in r.denominator] == [(1,), (-2,)]
+    with pytest.raises(ValueError):
+        SeriesRational((IntPoly([2]), IntPoly([0, 4])),
+                       (IntPoly([2]), IntPoly([-2])))  # constant term 2
     with pytest.raises(ValueError):
         SeriesRational((IntPoly([1]),), (IntPoly([0, 1]),))  # zero at z=0
     with pytest.raises(ValueError):
         SeriesRational((IntPoly([1]),), (IntPoly([1, 1]), IntPoly([1])))  # nonconstant
-    with pytest.raises(ValueError):
-        SeriesRational((IntPoly([1]),), (IntPoly([2]), IntPoly([1])))  # inexact division
 
 
 @settings(max_examples=40)
