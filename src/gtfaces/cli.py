@@ -11,8 +11,8 @@ Exit codes:
   1  a verification failed (a cross-check or a --check comparison)
   2  usage error: bad arguments, malformed input, --json with --csv,
      verify --max-s below 1, a negative GTFACES_ORACLE_MAX_S
-  3  resource limit: an oracle budget, or Python's recursion-depth limit
-     (the recurrence nests once per level of the sequence)
+  3  resource limit: an oracle budget (OracleLimits), or the engine budget
+     (engine.MAX_CUBE_CHILDREN cube children per evaluation)
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from typing import Any, Sequence
 from . import checks, families
 # re-exported because perfbench/worker.py reads gtfaces.cli.FIBER_CHECK_SIGNATURES
 from .checks import FIBER_CHECK_SIGNATURES  # noqa: F401
-from .engine import f_polynomial, h_polynomial
+from .engine import ResourceLimitError, f_polynomial, h_polynomial
 from .families import Family
-from .lattice import DEFAULT_LIMITS, OracleLimits, ResourceLimitError
+from .lattice import DEFAULT_LIMITS, OracleLimits
 from .poly import IntPoly, series_coeffs
 from .signatures import (ParseError, Signature, canonicalize, dimension,
                          parse_level_sequence, parse_signature)
@@ -325,10 +325,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"gtfaces: resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except RecursionError:
-        print(f"gtfaces: resource limit: input nests deeper than the recursion-depth "
-              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_RESOURCE
     finally:
         if close_out:

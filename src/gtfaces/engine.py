@@ -14,22 +14,28 @@ which yields
 A cube face is picked by choosing, for each coordinate j, the endpoint j,
 the endpoint j+1, or the free middle; the fiber's level sequence
 interleaves the chosen barycenter coordinates with the surviving copies of
-the original levels.
+the original levels, so its run lengths follow from the picks alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
 from .poly import IntPoly
-from .signatures import LevelSequence, Signature, canonicalize, reverse_normal_form
+# canonicalize is re-exported because perfbench/worker.py patches it here
+from .signatures import Signature, canonicalize, reverse_normal_form  # noqa: F401
 
-_HALF = Fraction(1, 2)
+# cube children one evaluation may build before it stops; 1^12 needs 731,922
+MAX_CUBE_CHILDREN = 1_000_000
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation would exceed one of its work budgets."""
 
 
 class Pick(Enum):
@@ -53,37 +59,29 @@ class FiberChild:
 def fiber_child(sig: Signature, picks: Iterable[Pick]) -> FiberChild:
     """Fiber signature over the cube-face barycenter selected by ``picks``.
 
-    Writes i_q - 1 copies of level q for each q, inserting the picked
-    coordinate (q, q + 1/2, or q + 1) after each block; the result is
-    nondecreasing by construction and one entry shorter than the parent.
+    The fiber keeps i_q - 1 copies of level q followed by the picked
+    coordinate (q, q + 1/2 or q + 1), so block q keeps i_q - 1 +
+    [p_{q-1} = HIGH] + [p_q = LOW] copies and a MID pick adds a singleton.
     """
     picks = tuple(picks)
-    k = sig.k
-    if k < 2:
+    if sig.k < 2:
         raise ValueError("fibers need at least two distinct levels")
-    if len(picks) != k - 1:
-        raise ValueError(f"expected {k - 1} picks, got {len(picks)}")
-    values: list[Fraction] = []
-    for q, m in enumerate(sig.mults, start=1):
-        values.extend([Fraction(q)] * (m - 1))
-        if q < k:
-            p = picks[q - 1]
-            if p is Pick.LOW:
-                values.append(Fraction(q))
-            elif p is Pick.HIGH:
-                values.append(Fraction(q + 1))
-            else:
-                values.append(q + _HALF)
-    child = canonicalize(LevelSequence(tuple(values)))
-    assert child.s == sig.s - 1
-    cube_dim = sum(1 for p in picks if p is Pick.MID)
-    return FiberChild(picks, cube_dim, child)
+    if len(picks) != sig.k - 1:
+        raise ValueError(f"expected {sig.k - 1} picks, got {len(picks)}")
+    mults: list[int] = []
+    carry = 0  # 1 when the previous pick moved its coordinate up into this block
+    for m, p in zip(sig.mults, picks + (None,)):
+        kept = m - 1 + carry + (p is Pick.LOW)
+        if kept:
+            mults.append(kept)
+        if p is Pick.MID:
+            mults.append(1)
+        carry = p is Pick.HIGH
+    return FiberChild(picks, picks.count(Pick.MID), Signature(tuple(mults)))
 
 
 def cube_children(sig: Signature) -> list[FiberChild]:
     """All 3^(k-1) barycenter fibers, in lexicographic pick order."""
-    if sig.k < 2:
-        raise ValueError("cube_children needs at least two distinct levels")
     return [fiber_child(sig, picks)
             for picks in product((Pick.LOW, Pick.MID, Pick.HIGH), repeat=sig.k - 1)]
 
@@ -95,58 +93,60 @@ def simplex_f_polynomial(m: int) -> IntPoly:
     return IntPoly([math.comb(m + 1, d + 1) for d in range(m + 1)])
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Feature toggles; disabling either is meant for self-tests only."""
-
-    simplex_shortcut: bool = True   # closed form for signatures (1, m) / (m, 1)
-    fold_reversals: bool = True     # memoize on min(sig, reversed sig)
-
-
 class FaceCountEngine:
     """Memoized evaluator of the cube-projection recurrence.
 
-    The cache maps signatures to finished polynomials.  Entries are
-    immutable and keyed deterministically, so concurrent callers at worst
-    recompute an identical value; no locking is required.
+    The cache maps signatures in reverse normal form to finished
+    polynomials.  Entries are immutable and keyed deterministically, so
+    concurrent callers at worst recompute an identical value; no locking is
+    required.
     """
 
-    def __init__(self, config: EngineConfig = EngineConfig()) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._cache: dict[Signature, IntPoly] = {}
-
-    def _key(self, sig: Signature) -> Signature:
-        return reverse_normal_form(sig) if self.config.fold_reversals else sig
 
     def f_polynomial(self, sig: Signature) -> IntPoly:
         """Exact f-polynomial: coefficient of t^d counts d-dimensional faces,
         the polytope itself included."""
-        key = self._key(sig)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._compute(key)
-        self._cache[key] = out
-        return out
+        key = reverse_normal_form(sig)
+        if key not in self._cache:
+            self._evaluate(key)
+        return self._cache[key]
 
     def h_polynomial(self, sig: Signature) -> IntPoly:
         """h(s) = f(s - 1)."""
         return self.f_polynomial(sig).shift(-1)
 
-    def _compute(self, sig: Signature) -> IntPoly:
-        if sig.k == 1:
-            # all levels equal: the polytope is a point, whatever the length
-            return IntPoly([1])
-        if self.config.simplex_shortcut and sig.k == 2 and 1 in sig.mults:
-            return simplex_f_polynomial(sig.s - 1)
-        grouped: dict[tuple[int, Signature], int] = {}
-        for fc in cube_children(sig):
-            gk = (fc.cube_dim, self._key(fc.child))
-            grouped[gk] = grouped.get(gk, 0) + 1
-        total = IntPoly()
-        for (cube_dim, child), count in grouped.items():
-            total = total + IntPoly.monomial(cube_dim, count) * self.f_polynomial(child)
-        return total
+    def _evaluate(self, root: Signature) -> None:
+        """Cache ``root`` and its uncached descendants, shortest first.
+
+        Every child is one entry shorter than its parent, so evaluating by
+        ascending length finds each child's polynomial already cached.
+        """
+        grouped: dict[Signature, Counter[tuple[int, Signature]]] = {}
+        built = 0
+        todo = [root]
+        while todo:
+            sig = todo.pop()
+            if sig in grouped or sig in self._cache:
+                continue
+            if sig.k == 1:
+                # all levels equal: the polytope is a point, whatever the length
+                self._cache[sig] = IntPoly([1])
+                continue
+            built += 3 ** (sig.k - 1)
+            if built > MAX_CUBE_CHILDREN:
+                raise ResourceLimitError(
+                    f"{root.mults}: over engine budget MAX_CUBE_CHILDREN="
+                    f"{MAX_CUBE_CHILDREN}, {built} cube children reached")
+            grouped[sig] = Counter((fc.cube_dim, reverse_normal_form(fc.child))
+                                   for fc in cube_children(sig))
+            todo.extend(child for _, child in grouped[sig])
+        for sig in sorted(grouped, key=lambda g: g.s):
+            total = IntPoly()
+            for (cube_dim, child), count in grouped[sig].items():
+                total = total + IntPoly.monomial(cube_dim, count) * self._cache[child]
+            self._cache[sig] = total
 
 
 _DEFAULT_ENGINE = FaceCountEngine()

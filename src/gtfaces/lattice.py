@@ -17,15 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import Pick, cube_children, f_polynomial
+from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
 from .signatures import Signature
 
 # a constraint endpoint: ("top", position) or ("cell", index)
 Ref = tuple[str, int]
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested instance exceeds the configured brute-force budget."""
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def enumerate_vertices(sig: Signature,
     """
     if sig.s > limits.max_s:
         raise ResourceLimitError(
-            f"total length {sig.s} exceeds the oracle bound {limits.max_s}")
+            f"{sig.mults}: total length {sig.s} exceeds oracle budget max_s={limits.max_s}")
     table = TriangularTable.from_signature(sig)
     ncells = len(table.cells)
     if ncells == 0:
@@ -203,7 +199,7 @@ def enumerate_vertices(sig: Signature,
             visited += 1
             if visited > limits.max_candidates:
                 raise ResourceLimitError(
-                    f"more than {limits.max_candidates} candidate tables")
+                    f"{sig.mults}: over oracle budget max_candidates={limits.max_candidates}")
             ok = _is_vertex(values, table, parents)
             if check_rank:
                 assert ok == (_active_rank(values, table) == ncells)
@@ -309,7 +305,7 @@ def face_lattice(sig: Signature,
             if g and g != fmask and g not in seen:
                 if len(seen) >= limits.max_faces:
                     raise ResourceLimitError(
-                        f"more than {limits.max_faces} faces")
+                        f"{sig.mults}: over oracle budget max_faces={limits.max_faces}")
                 seen.add(g)
                 stack.append(g)
     faces: list[Face] = []

@@ -105,7 +105,8 @@ def test_criterion_09_property_suite_up_to_s6():
                checks.dimension_degree(sigs), checks.simplex_shortcut(6)]
     failures = [detail for ok, detail in results if not ok]
     _report(9, not failures, "Euler, reversal, degree law on all s <= 6; "
-                             "simplex shortcut == plain recursion for m <= 6"
+                             "recurrence on (1,m) and (m,1) == simplex closed form "
+                             "for m <= 6"
                              + (f"; failures: {failures}" if failures else ""))
 
 

@@ -216,12 +216,23 @@ def test_quiet_human(capsys):
     assert out == "f-vector: 7 11 6 1\nh-vector: 1 2 3 1\n"
 
 
+def test_engine_budget_exits_3(capsys, monkeypatch):
+    from gtfaces import engine
+
+    monkeypatch.setattr(engine, "MAX_CUBE_CHILDREN", 20)
+    monkeypatch.setattr(engine, "_DEFAULT_ENGINE", engine.FaceCountEngine())
+    code, out, err = run(capsys, "f", "--signature", "1,1,1,1,1")
+    assert code == 3
+    assert out == ""
+    assert "engine budget MAX_CUBE_CHILDREN=20" in err
+    assert "(1, 1, 1, 1, 1)" in err
+
+
 @pytest.mark.parametrize("argv, env, code", [
-    (["f", "--signature", "2,600"], {}, 3),
     (["f", "--signature", "1,1,1", "--json", "--csv"], {}, 2),
     (["verify", "--max-s", "0"], {}, 2),
     (["verify", "--max-s", "2"], {"GTFACES_ORACLE_MAX_S": "-1"}, 2),
-], ids=["recursion-depth", "json-with-csv", "max-s-zero", "negative-oracle-budget"])
+], ids=["json-with-csv", "max-s-zero", "negative-oracle-budget"])
 def test_bad_input_exits_cleanly(argv, env, code):
     env = {**os.environ, "PYTHONPATH": str(SRC), **env}
     proc = subprocess.run([sys.executable, "-m", "gtfaces", *argv],

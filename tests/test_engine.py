@@ -1,10 +1,30 @@
+import json
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from gtfaces import checks
-from gtfaces.engine import (EngineConfig, FaceCountEngine, Pick, cube_children,
-                            f_polynomial, fiber_child, h_polynomial,
-                            simplex_f_polynomial)
-from gtfaces.signatures import Signature, iter_signatures
+from gtfaces.engine import (FaceCountEngine, Pick, cube_children, f_polynomial,
+                            fiber_child, h_polynomial, simplex_f_polynomial)
+from gtfaces.families import h_223k
+from gtfaces.signatures import LevelSequence, Signature, canonicalize, iter_signatures
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def fiber_child_by_levels(sig, picks):
+    """The fiber's level sequence written out with Fractions, then
+    canonicalized: for each q, i_q - 1 copies of q, then (for q < k) the
+    picked coordinate q, q + 1/2 or q + 1."""
+    values = []
+    for q, m in enumerate(sig.mults, start=1):
+        values.extend([Fraction(q)] * (m - 1))
+        if q < sig.k:
+            values.append(q + {Pick.LOW: 0, Pick.MID: Fraction(1, 2),
+                               Pick.HIGH: 1}[picks[q - 1]])
+    return canonicalize(LevelSequence(tuple(values)))
 
 
 def test_fiber_child_examples():
@@ -18,6 +38,39 @@ def test_fiber_child_examples():
     # the middle of (1, k, 1) collapses to a point under (HIGH, LOW)
     fc = fiber_child(Signature((1, 3, 1)), (Pick.HIGH, Pick.LOW))
     assert fc.cube_dim == 0 and fc.child.mults == (4,)
+
+
+def test_fiber_child_matches_level_construction():
+    built = 0
+    for s in range(2, 9):
+        for sig in iter_signatures(s):
+            if sig.k < 2:
+                continue
+            for picks in product(tuple(Pick), repeat=sig.k - 1):
+                fc = fiber_child(sig, picks)
+                assert fc.child == fiber_child_by_levels(sig, picks), (sig, picks)
+                assert fc.cube_dim == picks.count(Pick.MID)
+                built += 1
+    assert built == 21837
+
+
+def test_engine_matches_reference_table_up_to_s8():
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    tested = 0
+    for s in range(1, 9):
+        for sig in iter_signatures(s):
+            want = tuple(reference[",".join(map(str, min(sig.mults, sig.mults[::-1])))]["f"])
+            # cold, so that each signature runs the whole bottom-up pass
+            engine = FaceCountEngine()
+            assert engine.f_polynomial(sig).coeffs == want, sig
+            assert engine.f_polynomial(sig.reversed()).coeffs == want, sig
+            tested += 1
+    assert tested == 2 ** 8 - 1
+
+
+def test_long_two_level_signature_matches_closed_form():
+    # a recursive evaluation would nest about 600 calls deep here
+    assert h_polynomial(Signature((2, 600))) == h_223k(600)
 
 
 def test_cube_children_counts_and_lengths():
@@ -86,9 +139,8 @@ def test_degree_equals_dimension(s):
 def test_simplex_shortcut_agrees_with_recursion(m):
     ok, detail = checks.simplex_shortcut(m)
     assert ok, detail
-    plain = FaceCountEngine(EngineConfig(simplex_shortcut=False))
-    assert plain.f_polynomial(Signature((m, 1))) == simplex_f_polynomial(m)
-    assert f_polynomial(Signature((1, m))) == simplex_f_polynomial(m)
+    assert FaceCountEngine().f_polynomial(Signature((m, 1))) == simplex_f_polynomial(m)
+    assert FaceCountEngine().f_polynomial(Signature((1, m))) == simplex_f_polynomial(m)
 
 
 def test_h_equals_f_round_trip():

@@ -149,13 +149,16 @@ def test_fiber_decomposition_trivial_for_one_level():
 
 
 def test_resource_limits():
-    with pytest.raises(ResourceLimitError):
+    # each message names the signature and the OracleLimits field
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*max_s=6"):
         enumerate_vertices(Signature((1,) * 7))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="max_s=3"):
         face_lattice(Signature((1, 1, 1, 1)), OracleLimits(max_s=3))
     tiny = OracleLimits(max_s=6, max_candidates=3)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1\).*max_candidates=3"):
         enumerate_vertices(Signature((1, 1, 1)), tiny)
     few_faces = OracleLimits(max_s=6, max_faces=5)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="max_faces=5"):
         face_lattice(Signature((1, 1, 1)), few_faces)
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1\).*max_faces=100"):
+        face_lattice(Signature((1, 1, 1, 1)), OracleLimits(max_faces=100))
