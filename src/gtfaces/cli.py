@@ -10,7 +10,8 @@ Exit codes:
   0  success
   1  a verification failed (a cross-check or a --check comparison)
   2  usage error: bad arguments, malformed input, --json with --csv,
-     verify --max-s below 1, a negative GTFACES_ORACLE_MAX_S
+     verify --max-s below 1, a negative GTFACES_ORACLE_MAX_S, an --out
+     file that cannot be opened for writing
   3  resource limit: an oracle budget (OracleLimits), or the engine budget
      (engine.MAX_CUBE_CHILDREN cube children per evaluation)
 """
@@ -109,19 +110,17 @@ def _resolve_signature(args: argparse.Namespace) -> tuple[dict[str, str], Signat
 
 def _parse_k_spec(spec: str) -> list[int]:
     """'5' -> [5]; '0:4' -> [0, 1, 2, 3, 4]."""
+    lo_text, sep, hi_text = spec.partition(":")
     try:
-        if ":" in spec:
-            lo_text, hi_text = spec.split(":", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo < 0 or hi < lo:
-                raise ParseError(f"bad k range {spec!r}")
-            return list(range(lo, hi + 1))
-        k = int(spec)
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
     except ValueError:
         raise ParseError(f"cannot parse k spec {spec!r}") from None
-    if k < 0:
+    if not sep and lo < 0:
         raise ParseError("k must be >= 0")
-    return [k]
+    if lo < 0 or hi < lo:
+        raise ParseError(f"bad k range {spec!r}")
+    return list(range(lo, hi + 1))
 
 
 def cmd_f(args: argparse.Namespace, out: io.TextIOBase) -> int:
@@ -316,7 +315,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     out: io.TextIOBase = sys.stdout
     close_out = False
     if getattr(args, "out", None):
-        out = open(args.out, "w", encoding="utf-8")
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"gtfaces: error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         close_out = True
     try:
         return args.func(args, out)

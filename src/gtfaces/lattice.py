@@ -1,14 +1,18 @@
 """Brute-force ground truth: vertices and face lattice straight from the
 triangular-table inequality system.
 
-Everything here is exact integer arithmetic.  Vertices come from a
-depth-first search over integer tables: at a vertex every chain of tight
-inequalities must reach the fixed top row (otherwise the chain's common
-value could move both ways), which pins all coordinates to top values, so
-integer candidates suffice.  Faces are the closures of constraint tight
-sets under intersection, identified by their vertex sets.  Dimensions are
-affine ranks of vertex coordinates, computed by integer elimination with
-the tight-constraint chain count as a provable early-exit bound.
+Everything here is exact integer arithmetic.  Each constraint says one
+table entry is at most another, so the constraints a point meets with
+equality join the cells into chains.  A chain that does not reach the
+fixed top row keeps one degree of freedom, its common value; the number of
+such free chains is the dimension of the solution space of the tight
+constraints (the De Loera-McAllister tiling criterion).  A vertex has no
+free chain, so every cell equals a top value and a depth-first search over
+integer tables finds all vertices.  Faces are the closures of constraint
+tight sets under intersection, identified by their vertex sets; a face's
+dimension is the free-chain count of the constraints tight on all of its
+vertices.  On tables of at most ten cells both uses are cross-checked
+against exact integer rank.
 """
 
 from __future__ import annotations
@@ -20,15 +24,16 @@ from typing import Iterable, Sequence
 from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
 from .signatures import Signature
 
-# a constraint endpoint: ("top", position) or ("cell", index)
-Ref = tuple[str, int]
+# tables with at most this many cells cross-check every free-chain count
+# against exact integer rank
+_RANK_CHECK_CELLS = 10
 
 
 @dataclass(frozen=True)
 class OracleLimits:
     """Budget knobs for the brute-force search."""
 
-    max_s: int = 6
+    max_s: int = 5
     max_candidates: int = 2_000_000  # integer tables visited by the DFS
     max_faces: int = 500_000         # faces generated by the closure
 
@@ -45,42 +50,30 @@ DEFAULT_LIMITS = OracleLimits()
 class TriangularTable:
     """Interlacing constraint system over the canonical level values.
 
-    Cells are indexed row-major, rows 1..s-1 with s-r cells each; every
-    cell is squeezed between its two upper neighbours (the top row for
-    row 1), giving s(s-1) single inequalities in total.
+    Constraint endpoints are node ids into the value list ``top + cells``:
+    ids 0..s-1 are the top row, id s+i is cell i.  Cells are indexed
+    row-major, rows 1..s-1 with s-r cells each; cell i is squeezed between
+    its two upper neighbours by constraints 2i (left <= cell) and 2i+1
+    (cell <= right), s(s-1) single inequalities in total.
     """
 
     s: int
     top: tuple[int, ...]
     cells: tuple[tuple[int, int], ...]
-    constraints: tuple[tuple[Ref, Ref], ...]  # (lo, hi) meaning value(lo) <= value(hi)
+    constraints: tuple[tuple[int, int], ...]  # (lo, hi) meaning value(lo) <= value(hi)
 
     @classmethod
     def from_signature(cls, sig: Signature) -> "TriangularTable":
         top = sig.level_values()
         s = len(top)
-        cells: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] = {}
-        for r in range(1, s):
-            for c in range(1, s - r + 1):
-                index[(r, c)] = len(cells)
-                cells.append((r, c))
-        constraints: list[tuple[Ref, Ref]] = []
+        cells = [(r, c) for r in range(1, s) for c in range(1, s - r + 1)]
+        node = {(0, c): c - 1 for c in range(1, s + 1)}
+        node.update({rc: s + i for i, rc in enumerate(cells)})
+        constraints: list[tuple[int, int]] = []
         for (r, c) in cells:
-            me: Ref = ("cell", index[(r, c)])
-            if r == 1:
-                left: Ref = ("top", c - 1)
-                right: Ref = ("top", c)
-            else:
-                left = ("cell", index[(r - 1, c)])
-                right = ("cell", index[(r - 1, c + 1)])
-            constraints.append((left, me))
-            constraints.append((me, right))
+            constraints.append((node[(r - 1, c)], node[(r, c)]))
+            constraints.append((node[(r, c)], node[(r - 1, c + 1)]))
         return cls(s, top, tuple(cells), tuple(constraints))
-
-    def ref_value(self, ref: Ref, cell_values: Sequence[int]) -> int:
-        kind, i = ref
-        return self.top[i] if kind == "top" else cell_values[i]
 
 
 @dataclass(frozen=True)
@@ -97,21 +90,13 @@ class FaceLattice:
     f_vector: tuple[int, ...]
 
 
-def _cell_parents(table: TriangularTable) -> list[tuple[Ref, Ref]]:
-    """Per cell, its (lower, upper) bounding refs, in cell scan order."""
-    out: list[tuple[Ref, Ref]] = []
-    for i in range(len(table.cells)):
-        lo = table.constraints[2 * i][0]
-        hi = table.constraints[2 * i + 1][1]
-        out.append((lo, hi))
-    return out
-
-
-def _is_vertex(values: Sequence[int], table: TriangularTable,
-               parents: Sequence[tuple[Ref, Ref]]) -> bool:
-    """True iff every chain of tight inequalities reaches a top entry."""
-    n = len(values)
-    parent = list(range(n))
+def _free_chains(table: TriangularTable, tight: Iterable[tuple[int, int]]) -> int:
+    """Number of cell components, joined by the ``tight`` constraints held
+    with equality, that reach no top entry: the dimension of the solution
+    space of those equalities."""
+    s = table.s
+    # the whole top row starts as one component rooted at node 0
+    parent = [0] * s + list(range(s, s + len(table.cells)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -119,18 +104,9 @@ def _is_vertex(values: Sequence[int], table: TriangularTable,
             x = parent[x]
         return x
 
-    anchored_cells: list[int] = []
-    for i, (lo, hi) in enumerate(parents):
-        for kind, j in (lo, hi):
-            if kind == "cell":
-                if values[j] == values[i]:
-                    parent[find(i)] = find(j)
-            elif table.top[j] == values[i]:
-                anchored_cells.append(i)
-    anchored = bytearray(n)
-    for i in anchored_cells:
-        anchored[find(i)] = 1
-    return all(anchored[find(i)] for i in range(n))
+    for lo, hi in tight:
+        parent[find(lo)] = find(hi)
+    return len({find(x) for x in range(s, len(parent))} - {find(0)})
 
 
 def _row_echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> bool:
@@ -151,18 +127,20 @@ def _row_echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> bool:
 
 
 def _active_rank(values: Sequence[int], table: TriangularTable) -> int:
-    """Rank of the normals of all constraints tight at the point."""
-    n = len(values)
+    """Rank of the normals of all constraints tight at the point given by
+    its node values ``top + cells``."""
+    s, n = table.s, len(table.cells)
     pivots: dict[int, list[int]] = {}
     rank = 0
     for lo, hi in table.constraints:
-        if table.ref_value(lo, values) != table.ref_value(hi, values):
+        if values[lo] != values[hi]:
             continue
         row = [0] * n
-        for sign, (kind, j) in ((1, lo), (-1, hi)):
-            if kind == "cell":
-                row[j] += sign
-        if any(row) and _row_echelon_insert(pivots, row):
+        if lo >= s:
+            row[lo - s] += 1
+        if hi >= s:
+            row[hi - s] -= 1
+        if _row_echelon_insert(pivots, row):
             rank += 1
             if rank == n:
                 break
@@ -174,42 +152,38 @@ def enumerate_vertices(sig: Signature,
     """All vertices as integer cell-value tuples, lexicographic in scan order.
 
     The DFS ranges each cell over the integers between its two upper
-    neighbours, so every candidate already satisfies all constraints; the
-    vertex criterion then filters the candidates.  With the criterion's
-    integrality argument this enumeration is exhaustive.
+    neighbours, so every candidate already satisfies all constraints; a
+    candidate is a vertex iff its tight constraints leave no free chain.
+    Since a vertex is integral, this enumeration is exhaustive.
     """
     if sig.s > limits.max_s:
         raise ResourceLimitError(
             f"{sig.mults}: total length {sig.s} exceeds oracle budget max_s={limits.max_s}")
     table = TriangularTable.from_signature(sig)
-    ncells = len(table.cells)
-    if ncells == 0:
-        return [()]
-    parents = _cell_parents(table)
-    values = [0] * ncells
+    s, ncells = table.s, len(table.cells)
+    constraints = table.constraints
+    values = list(table.top) + [0] * ncells
     out: list[tuple[int, ...]] = []
     visited = 0
-    # cross-check the chain criterion against the textbook rank criterion
-    # while the tables stay small
-    check_rank = ncells <= 10
+    check_rank = ncells <= _RANK_CHECK_CELLS
 
-    def dfs(p: int) -> None:
+    def dfs(i: int) -> None:
         nonlocal visited
-        if p == ncells:
+        if i == ncells:
             visited += 1
             if visited > limits.max_candidates:
                 raise ResourceLimitError(
                     f"{sig.mults}: over oracle budget max_candidates={limits.max_candidates}")
-            ok = _is_vertex(values, table, parents)
+            ok = _free_chains(table, [c for c in constraints
+                                      if values[c[0]] == values[c[1]]]) == 0
             if check_rank:
                 assert ok == (_active_rank(values, table) == ncells)
             if ok:
-                out.append(tuple(values))
+                out.append(tuple(values[s:]))
             return
-        lo, hi = parents[p]
-        for v in range(table.ref_value(lo, values), table.ref_value(hi, values) + 1):
-            values[p] = v
-            dfs(p + 1)
+        for v in range(values[constraints[2 * i][0]], values[constraints[2 * i + 1][1]] + 1):
+            values[s + i] = v
+            dfs(i + 1)
 
     dfs(0)
     return out
@@ -218,45 +192,9 @@ def enumerate_vertices(sig: Signature,
 def _tight_masks(table: TriangularTable,
                  vertices: Sequence[tuple[int, ...]]) -> list[int]:
     """Per constraint, the bitmask of vertices where it holds with equality."""
-    masks: list[int] = []
-    for lo, hi in table.constraints:
-        mask = 0
-        for i, v in enumerate(vertices):
-            if table.ref_value(lo, v) == table.ref_value(hi, v):
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
-
-
-def _chain_dim_bound(fmask: int, table: TriangularTable,
-                     tight_masks: Sequence[int]) -> int:
-    """Dimension of the solution space of the constraints tight on the whole
-    face: the number of tight-chain components not reaching the top row."""
-    n = len(table.cells)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    anchored_cells: list[int] = []
-    for cidx, (lo, hi) in enumerate(table.constraints):
-        if tight_masks[cidx] & fmask != fmask:
-            continue
-        (lk, li), (hk, hi_i) = lo, hi
-        if lk == "cell" and hk == "cell":
-            parent[find(li)] = find(hi_i)
-        elif lk == "cell":
-            anchored_cells.append(li)
-        elif hk == "cell":
-            anchored_cells.append(hi_i)
-    anchored = bytearray(n)
-    for i in anchored_cells:
-        anchored[find(i)] = 1
-    roots = {find(i) for i in range(n)}
-    return sum(1 for r in roots if not anchored[r])
+    points = [table.top + v for v in vertices]
+    return [sum(1 << i for i, p in enumerate(points) if p[lo] == p[hi])
+            for lo, hi in table.constraints]
 
 
 def _affine_rank(points: Iterable[Sequence[int]], upper_bound: int | None = None) -> int:
@@ -289,10 +227,13 @@ def face_lattice(sig: Signature,
     Every facet appears among the constraint tight sets, every face is an
     intersection of facets, and intersections of faces are faces; closing
     the tight sets under intersection therefore enumerates exactly the
-    faces, each identified by its vertex bitmask.
+    faces, each identified by its vertex bitmask.  A face's affine hull is
+    cut out by the constraints tight on all of its vertices, so its
+    dimension is their free-chain count.
     """
     vertices = enumerate_vertices(sig, limits)
     table = TriangularTable.from_signature(sig)
+    check_rank = len(table.cells) <= _RANK_CHECK_CELLS
     n = len(vertices)
     full = (1 << n) - 1
     masks = _tight_masks(table, vertices)
@@ -311,11 +252,10 @@ def face_lattice(sig: Signature,
     faces: list[Face] = []
     for fmask in seen:
         idxs = [i for i in range(n) if fmask >> i & 1]
-        if len(idxs) == 1 or not table.cells:
-            dim = 0
-        else:
-            bound = _chain_dim_bound(fmask, table, masks)
-            dim = _affine_rank((vertices[i] for i in idxs), upper_bound=bound)
+        dim = _free_chains(table, (c for c, t in zip(table.constraints, masks)
+                                   if t & fmask == fmask))
+        if check_rank:
+            assert _affine_rank((vertices[i] for i in idxs), upper_bound=dim) == dim
         faces.append(Face(tuple(idxs), dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     top_dim = faces[-1].dim

@@ -83,6 +83,7 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "family", "--family", "12k3", "--k", "3:1")
     assert code == 2
+    assert "bad k range" in err
 
 
 def test_family_12k3(capsys):
@@ -228,15 +229,21 @@ def test_engine_budget_exits_3(capsys, monkeypatch):
     assert "(1, 1, 1, 1, 1)" in err
 
 
-@pytest.mark.parametrize("argv, env, code", [
-    (["f", "--signature", "1,1,1", "--json", "--csv"], {}, 2),
-    (["verify", "--max-s", "0"], {}, 2),
-    (["verify", "--max-s", "2"], {"GTFACES_ORACLE_MAX_S": "-1"}, 2),
-], ids=["json-with-csv", "max-s-zero", "negative-oracle-budget"])
-def test_bad_input_exits_cleanly(argv, env, code):
+@pytest.mark.parametrize("argv, env, code, needle", [
+    (["f", "--signature", "1,1,1", "--json", "--csv"], {}, 2, ""),
+    (["verify", "--max-s", "0"], {}, 2, ""),
+    (["verify", "--max-s", "2"], {"GTFACES_ORACLE_MAX_S": "-1"}, 2, ""),
+    (["verify", "--max-s", "6"], {}, 3, "oracle bound 5 (override with GTFACES_ORACLE_MAX_S)"),
+    (["f", "--signature", "1,2", "--out", "{tmp}/missing/x.json"], {}, 2, "cannot write"),
+    (["f", "--signature", "1,2", "--out", "{tmp}"], {}, 2, "cannot write"),
+], ids=["json-with-csv", "max-s-zero", "negative-oracle-budget", "max-s-over-default",
+        "out-missing-dir", "out-is-dir"])
+def test_bad_input_exits_cleanly(argv, env, code, needle, tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in argv]
     env = {**os.environ, "PYTHONPATH": str(SRC), **env}
     proc = subprocess.run([sys.executable, "-m", "gtfaces", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(("gtfaces: ", "usage: "))
     assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr

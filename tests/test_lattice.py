@@ -2,8 +2,9 @@ import pytest
 
 from gtfaces import checks
 from gtfaces.lattice import (OracleLimits, ResourceLimitError, TriangularTable,
-                             enumerate_vertices, face_lattice,
-                             fiber_decomposition_check, tracked_cells)
+                             _active_rank, _affine_rank, enumerate_vertices,
+                             face_lattice, fiber_decomposition_check,
+                             tracked_cells)
 from gtfaces.signatures import Signature, dimension, iter_signatures
 
 
@@ -64,8 +65,23 @@ def test_oracle_agrees_with_engine(s):
 
 def test_oracle_agrees_with_engine_s6_spots():
     ok, detail = checks.oracle_vs_engine(
-        Signature(m) for m in [(1, 5), (2, 4), (3, 3)])
+        (Signature(m) for m in [(1, 5), (2, 4), (3, 3)]), OracleLimits(max_s=6))
     assert ok, detail
+
+
+@pytest.mark.parametrize("mults", [(1, 5), (2, 4), (3, 3)])
+def test_free_chains_match_rank_beyond_inline_checks(mults):
+    # tables of more than 10 cells skip the in-line rank asserts; check the
+    # free-chain vertex test and face dimensions against exact rank here
+    sig = Signature(mults)
+    lat = face_lattice(sig, OracleLimits(max_s=6))
+    table = TriangularTable.from_signature(sig)
+    assert len(table.cells) > 10
+    for v in lat.vertices:
+        assert _active_rank(table.top + v, table) == len(table.cells)
+    for face in lat.faces:
+        points = [lat.vertices[i] for i in face.vertex_indices]
+        assert _affine_rank(points) == face.dim
 
 
 @pytest.mark.parametrize("s", range(1, 5))
@@ -150,7 +166,7 @@ def test_fiber_decomposition_trivial_for_one_level():
 
 def test_resource_limits():
     # each message names the signature and the OracleLimits field
-    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*max_s=6"):
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*max_s=5"):
         enumerate_vertices(Signature((1,) * 7))
     with pytest.raises(ResourceLimitError, match="max_s=3"):
         face_lattice(Signature((1, 1, 1, 1)), OracleLimits(max_s=3))
