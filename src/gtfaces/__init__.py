@@ -17,9 +17,9 @@ from .engine import (FaceCountEngine, FiberChild, Pick, ResourceLimitError,
 from .families import (Family, HPair, f_12k3, family_h, family_signature,
                        generating_function, geometric, h_12k3, h_123k, h_223k,
                        h_pair_matrix, phi, phi_root_form_value)
-from .lattice import (DEFAULT_LIMITS, Face, FaceLattice, FiberCheckReport,
-                      FiberGroup, OracleLimits, TriangularTable, enumerate_vertices,
-                      face_lattice, fiber_decomposition_check, tracked_cells)
+from .lattice import (Face, FaceLattice, FiberCheckReport, FiberGroup,
+                      TriangularTable, enumerate_vertices, face_lattice,
+                      fiber_decomposition_check, tracked_cells)
 from .poly import IntPoly, SeriesRational, series_coeffs, z_mul
 from .signatures import (LevelSequence, ParseError, Signature, canonicalize,
                          dimension, iter_signatures, parse_level_sequence,
@@ -33,8 +33,7 @@ __all__ = [
     "Family", "HPair", "f_12k3", "family_h", "family_signature",
     "generating_function", "geometric", "h_12k3", "h_123k", "h_223k",
     "h_pair_matrix", "phi", "phi_root_form_value",
-    "DEFAULT_LIMITS", "Face", "FaceLattice", "FiberCheckReport", "FiberGroup",
-    "OracleLimits", "TriangularTable",
+    "Face", "FaceLattice", "FiberCheckReport", "FiberGroup", "TriangularTable",
     "enumerate_vertices", "face_lattice", "fiber_decomposition_check",
     "tracked_cells",
     "IntPoly", "SeriesRational", "series_coeffs", "z_mul",

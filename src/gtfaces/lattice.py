@@ -29,21 +29,11 @@ from .signatures import Signature
 _RANK_CHECK_CELLS = 10
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Budget knobs for the brute-force search."""
-
-    max_s: int = 5
-    max_candidates: int = 2_000_000  # integer tables visited by the DFS
-    max_faces: int = 500_000         # faces generated by the closure
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-DEFAULT_LIMITS = OracleLimits()
+# oracle budgets, read at call time: total length, integer tables visited by
+# the vertex DFS, and faces generated by the closure
+MAX_S = 5
+MAX_CANDIDATES = 2_000_000
+MAX_FACES = 500_000
 
 
 @dataclass(frozen=True)
@@ -147,8 +137,7 @@ def _active_rank(values: Sequence[int], table: TriangularTable) -> int:
     return rank
 
 
-def enumerate_vertices(sig: Signature,
-                       limits: OracleLimits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
+def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
     """All vertices as integer cell-value tuples, lexicographic in scan order.
 
     The DFS ranges each cell over the integers between its two upper
@@ -156,9 +145,9 @@ def enumerate_vertices(sig: Signature,
     candidate is a vertex iff its tight constraints leave no free chain.
     Since a vertex is integral, this enumeration is exhaustive.
     """
-    if sig.s > limits.max_s:
+    if sig.s > MAX_S:
         raise ResourceLimitError(
-            f"{sig.mults}: total length {sig.s} exceeds oracle budget max_s={limits.max_s}")
+            f"{sig.mults}: total length {sig.s} exceeds oracle budget MAX_S={MAX_S}")
     table = TriangularTable.from_signature(sig)
     s, ncells = table.s, len(table.cells)
     constraints = table.constraints
@@ -171,9 +160,9 @@ def enumerate_vertices(sig: Signature,
         nonlocal visited
         if i == ncells:
             visited += 1
-            if visited > limits.max_candidates:
+            if visited > MAX_CANDIDATES:
                 raise ResourceLimitError(
-                    f"{sig.mults}: over oracle budget max_candidates={limits.max_candidates}")
+                    f"{sig.mults}: over oracle budget MAX_CANDIDATES={MAX_CANDIDATES}")
             ok = _free_chains(table, [c for c in constraints
                                       if values[c[0]] == values[c[1]]]) == 0
             if check_rank:
@@ -220,8 +209,7 @@ def _affine_rank(points: Iterable[Sequence[int]], upper_bound: int | None = None
     return rank
 
 
-def face_lattice(sig: Signature,
-                 limits: OracleLimits = DEFAULT_LIMITS) -> FaceLattice:
+def face_lattice(sig: Signature) -> FaceLattice:
     """Complete face lattice, the polytope included, the empty face excluded.
 
     Every facet appears among the constraint tight sets, every face is an
@@ -231,7 +219,7 @@ def face_lattice(sig: Signature,
     cut out by the constraints tight on all of its vertices, so its
     dimension is their free-chain count.
     """
-    vertices = enumerate_vertices(sig, limits)
+    vertices = enumerate_vertices(sig)
     table = TriangularTable.from_signature(sig)
     check_rank = len(table.cells) <= _RANK_CHECK_CELLS
     n = len(vertices)
@@ -244,9 +232,9 @@ def face_lattice(sig: Signature,
         for t in masks:
             g = fmask & t
             if g and g != fmask and g not in seen:
-                if len(seen) >= limits.max_faces:
+                if len(seen) >= MAX_FACES:
                     raise ResourceLimitError(
-                        f"{sig.mults}: over oracle budget max_faces={limits.max_faces}")
+                        f"{sig.mults}: over oracle budget MAX_FACES={MAX_FACES}")
                 seen.add(g)
                 stack.append(g)
     faces: list[Face] = []
@@ -296,9 +284,7 @@ class FiberCheckReport:
     groups: tuple[FiberGroup, ...]
 
 
-def fiber_decomposition_check(sig: Signature,
-                              limits: OracleLimits = DEFAULT_LIMITS,
-                              lattice: FaceLattice | None = None) -> FiberCheckReport:
+def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
     """Verify both projection statements against the enumerated lattice.
 
     For every face: its tracked coordinates must span a cube face (each
@@ -310,7 +296,7 @@ def fiber_decomposition_check(sig: Signature,
     if sig.k == 1:
         # the projection collapses to a point; nothing to decompose
         return FiberCheckReport(sig, True, (), ())
-    lat = lattice if lattice is not None else face_lattice(sig, limits)
+    lat = face_lattice(sig)
     cols = tracked_cells(sig)
     failures: list[str] = []
     observed: dict[tuple[Pick, ...], Counter] = {}

@@ -131,8 +131,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    __call__ = evaluate
-
     def shift(self, c: int) -> "IntPoly":
         """Return g with g(x) = self(x + c), expanded exactly.
 

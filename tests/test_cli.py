@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gtfaces.cli import main
+from gtfaces.families import MAX_K
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -185,15 +186,6 @@ def test_verify_resource_limit(capsys):
     assert "resource" in err.lower()
 
 
-def test_verify_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GTFACES_ORACLE_MAX_S", "3")
-    code, _, err = run(capsys, "verify", "--max-s", "4")
-    assert code == 3
-    monkeypatch.setenv("GTFACES_ORACLE_MAX_S", "not-a-number")
-    code, _, err = run(capsys, "verify", "--max-s", "2")
-    assert code == 2
-
-
 def test_verify_adjudication(capsys):
     code, out, _ = run(capsys, "verify", "--max-s", "2", "--adjudicate-223-k3")
     assert code == 0
@@ -229,18 +221,19 @@ def test_engine_budget_exits_3(capsys, monkeypatch):
     assert "(1, 1, 1, 1, 1)" in err
 
 
-@pytest.mark.parametrize("argv, env, code, needle", [
-    (["f", "--signature", "1,1,1", "--json", "--csv"], {}, 2, ""),
-    (["verify", "--max-s", "0"], {}, 2, ""),
-    (["verify", "--max-s", "2"], {"GTFACES_ORACLE_MAX_S": "-1"}, 2, ""),
-    (["verify", "--max-s", "6"], {}, 3, "oracle bound 5 (override with GTFACES_ORACLE_MAX_S)"),
-    (["f", "--signature", "1,2", "--out", "{tmp}/missing/x.json"], {}, 2, "cannot write"),
-    (["f", "--signature", "1,2", "--out", "{tmp}"], {}, 2, "cannot write"),
-], ids=["json-with-csv", "max-s-zero", "negative-oracle-budget", "max-s-over-default",
-        "out-missing-dir", "out-is-dir"])
-def test_bad_input_exits_cleanly(argv, env, code, needle, tmp_path):
+@pytest.mark.parametrize("argv, code, needle", [
+    (["f", "--signature", "1,1,1", "--json", "--csv"], 2, ""),
+    (["verify", "--max-s", "0"], 2, ""),
+    (["verify", "--max-s", "6"], 3, "--max-s 6 exceeds oracle budget MAX_S=5"),
+    (["f", "--signature", "1,2", "--out", "{tmp}/missing/x.json"], 2, "cannot write"),
+    (["f", "--signature", "1,2", "--out", "{tmp}"], 2, "cannot write"),
+    (["family", "--family", "12k3", "--k", "0:10000000000000"], 3, "MAX_K"),
+    (["gf", "--family", "223k", "--kmax", str(MAX_K + 1)], 3, "MAX_K"),
+], ids=["json-with-csv", "max-s-zero", "max-s-over-default", "out-missing-dir",
+        "out-is-dir", "family-k-over-max", "gf-kmax-over-max"])
+def test_bad_input_exits_cleanly(argv, code, needle, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
-    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-m", "gtfaces", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr

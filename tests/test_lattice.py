@@ -1,10 +1,12 @@
+from fractions import Fraction
+from math import prod
+
 import pytest
 
-from gtfaces import checks
-from gtfaces.lattice import (OracleLimits, ResourceLimitError, TriangularTable,
-                             _active_rank, _affine_rank, enumerate_vertices,
-                             face_lattice, fiber_decomposition_check,
-                             tracked_cells)
+from gtfaces import checks, lattice
+from gtfaces.lattice import (ResourceLimitError, TriangularTable, _active_rank,
+                             _affine_rank, enumerate_vertices, face_lattice,
+                             fiber_decomposition_check, tracked_cells)
 from gtfaces.signatures import Signature, dimension, iter_signatures
 
 
@@ -63,18 +65,20 @@ def test_oracle_agrees_with_engine(s):
     assert ok, detail
 
 
-def test_oracle_agrees_with_engine_s6_spots():
+def test_oracle_agrees_with_engine_s6_spots(monkeypatch):
+    monkeypatch.setattr(lattice, "MAX_S", 6)
     ok, detail = checks.oracle_vs_engine(
-        (Signature(m) for m in [(1, 5), (2, 4), (3, 3)]), OracleLimits(max_s=6))
+        Signature(m) for m in [(1, 5), (2, 4), (3, 3)])
     assert ok, detail
 
 
 @pytest.mark.parametrize("mults", [(1, 5), (2, 4), (3, 3)])
-def test_free_chains_match_rank_beyond_inline_checks(mults):
+def test_free_chains_match_rank_beyond_inline_checks(mults, monkeypatch):
     # tables of more than 10 cells skip the in-line rank asserts; check the
     # free-chain vertex test and face dimensions against exact rank here
+    monkeypatch.setattr(lattice, "MAX_S", 6)
     sig = Signature(mults)
-    lat = face_lattice(sig, OracleLimits(max_s=6))
+    lat = face_lattice(sig)
     table = TriangularTable.from_signature(sig)
     assert len(table.cells) > 10
     for v in lat.vertices:
@@ -164,17 +168,34 @@ def test_fiber_decomposition_trivial_for_one_level():
     assert report.ok and report.groups == ()
 
 
-def test_resource_limits():
-    # each message names the signature and the OracleLimits field
-    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*max_s=5"):
+def test_resource_limits(monkeypatch):
+    # each message names the signature and the budget constant
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*MAX_S=5"):
         enumerate_vertices(Signature((1,) * 7))
-    with pytest.raises(ResourceLimitError, match="max_s=3"):
-        face_lattice(Signature((1, 1, 1, 1)), OracleLimits(max_s=3))
-    tiny = OracleLimits(max_s=6, max_candidates=3)
-    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1\).*max_candidates=3"):
-        enumerate_vertices(Signature((1, 1, 1)), tiny)
-    few_faces = OracleLimits(max_s=6, max_faces=5)
-    with pytest.raises(ResourceLimitError, match="max_faces=5"):
-        face_lattice(Signature((1, 1, 1)), few_faces)
-    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1\).*max_faces=100"):
-        face_lattice(Signature((1, 1, 1, 1)), OracleLimits(max_faces=100))
+    monkeypatch.setattr(lattice, "MAX_FACES", 100)
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1\).*MAX_FACES=100"):
+        face_lattice(Signature((1, 1, 1, 1)))
+    monkeypatch.setattr(lattice, "MAX_FACES", 5)
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1\).*MAX_FACES=5"):
+        face_lattice(Signature((1, 1, 1)))
+    monkeypatch.setattr(lattice, "MAX_CANDIDATES", 3)
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1\).*MAX_CANDIDATES=3"):
+        enumerate_vertices(Signature((1, 1, 1)))
+    monkeypatch.setattr(lattice, "MAX_S", 3)
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1\).*MAX_S=3"):
+        face_lattice(Signature((1, 1, 1, 1)))
+
+
+def test_vertex_dfs_visits_exactly_the_integer_points(monkeypatch):
+    # the DFS visits one candidate per integer point of the polytope, i.e. per
+    # Gelfand-Tsetlin pattern; their number is the Weyl dimension formula
+    for sig in checks.signatures_up_to(5):
+        t = sig.level_values()
+        n = prod(Fraction(t[j] - t[i] + j - i, j - i)
+                 for j in range(len(t)) for i in range(j))
+        assert n.denominator == 1
+        monkeypatch.setattr(lattice, "MAX_CANDIDATES", int(n))
+        enumerate_vertices(sig)
+        monkeypatch.setattr(lattice, "MAX_CANDIDATES", int(n) - 1)
+        with pytest.raises(ResourceLimitError, match="MAX_CANDIDATES"):
+            enumerate_vertices(sig)
