@@ -97,9 +97,7 @@ class FaceCountEngine:
     """Memoized evaluator of the cube-projection recurrence.
 
     The cache maps signatures in reverse normal form to finished
-    polynomials.  Entries are immutable and keyed deterministically, so
-    concurrent callers at worst recompute an identical value; no locking is
-    required.
+    polynomials.
     """
 
     def __init__(self) -> None:

@@ -11,8 +11,8 @@ free chain, so every cell equals a top value and a depth-first search over
 integer tables finds all vertices.  Faces are the closures of constraint
 tight sets under intersection, identified by their vertex sets; a face's
 dimension is the free-chain count of the constraints tight on all of its
-vertices.  On tables of at most ten cells both uses are cross-checked
-against exact integer rank.
+vertices.  Both uses are checked against exact integer rank, on every
+table the oracle accepts, in ``tests/test_lattice.py``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from typing import Iterable, Sequence
 
 from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
 from .signatures import Signature
-
-# tables with at most this many cells cross-check every free-chain count
-# against exact integer rank
-_RANK_CHECK_CELLS = 10
-
 
 # oracle budgets, read at call time: total length, integer tables visited by
 # the vertex DFS, and faces generated by the closure
@@ -99,44 +94,6 @@ def _free_chains(table: TriangularTable, tight: Iterable[tuple[int, int]]) -> in
     return len({find(x) for x in range(s, len(parent))} - {find(0)})
 
 
-def _row_echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> bool:
-    """Reduce ``row`` against the echelon ``pivots`` (lead column -> row,
-    rows have zeros before their lead); insert if independent."""
-    ncols = len(row)
-    c = 0
-    while c < ncols:
-        if row[c]:
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                return True
-            f, p = row[c], prow[c]
-            row = [p * x - f * y for x, y in zip(row, prow)]
-        c += 1
-    return False
-
-
-def _active_rank(values: Sequence[int], table: TriangularTable) -> int:
-    """Rank of the normals of all constraints tight at the point given by
-    its node values ``top + cells``."""
-    s, n = table.s, len(table.cells)
-    pivots: dict[int, list[int]] = {}
-    rank = 0
-    for lo, hi in table.constraints:
-        if values[lo] != values[hi]:
-            continue
-        row = [0] * n
-        if lo >= s:
-            row[lo - s] += 1
-        if hi >= s:
-            row[hi - s] -= 1
-        if _row_echelon_insert(pivots, row):
-            rank += 1
-            if rank == n:
-                break
-    return rank
-
-
 def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
     """All vertices as integer cell-value tuples, lexicographic in scan order.
 
@@ -154,7 +111,6 @@ def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
     values = list(table.top) + [0] * ncells
     out: list[tuple[int, ...]] = []
     visited = 0
-    check_rank = ncells <= _RANK_CHECK_CELLS
 
     def dfs(i: int) -> None:
         nonlocal visited
@@ -163,11 +119,8 @@ def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
             if visited > MAX_CANDIDATES:
                 raise ResourceLimitError(
                     f"{sig.mults}: over oracle budget MAX_CANDIDATES={MAX_CANDIDATES}")
-            ok = _free_chains(table, [c for c in constraints
-                                      if values[c[0]] == values[c[1]]]) == 0
-            if check_rank:
-                assert ok == (_active_rank(values, table) == ncells)
-            if ok:
+            if _free_chains(table, [c for c in constraints
+                                    if values[c[0]] == values[c[1]]]) == 0:
                 out.append(tuple(values[s:]))
             return
         for v in range(values[constraints[2 * i][0]], values[constraints[2 * i + 1][1]] + 1):
@@ -186,29 +139,6 @@ def _tight_masks(table: TriangularTable,
             for lo, hi in table.constraints]
 
 
-def _affine_rank(points: Iterable[Sequence[int]], upper_bound: int | None = None) -> int:
-    """Affine rank of a point set over the rationals, by exact integer
-    elimination on difference vectors.  ``upper_bound``, when given, must be
-    a proven bound; reaching it stops the scan early."""
-    it = iter(points)
-    try:
-        origin = next(it)
-    except StopIteration:
-        return 0
-    if upper_bound == 0:
-        return 0
-    pivots: dict[int, list[int]] = {}
-    rank = 0
-    ncols = len(origin)
-    for pt in it:
-        row = [a - b for a, b in zip(pt, origin)]
-        if _row_echelon_insert(pivots, row):
-            rank += 1
-            if rank == ncols or rank == upper_bound:
-                break
-    return rank
-
-
 def face_lattice(sig: Signature) -> FaceLattice:
     """Complete face lattice, the polytope included, the empty face excluded.
 
@@ -221,7 +151,6 @@ def face_lattice(sig: Signature) -> FaceLattice:
     """
     vertices = enumerate_vertices(sig)
     table = TriangularTable.from_signature(sig)
-    check_rank = len(table.cells) <= _RANK_CHECK_CELLS
     n = len(vertices)
     full = (1 << n) - 1
     masks = _tight_masks(table, vertices)
@@ -239,11 +168,14 @@ def face_lattice(sig: Signature) -> FaceLattice:
                 stack.append(g)
     faces: list[Face] = []
     for fmask in seen:
-        idxs = [i for i in range(n) if fmask >> i & 1]
+        idxs = []
+        m = fmask
+        while m:
+            low = m & -m
+            idxs.append(low.bit_length() - 1)
+            m ^= low
         dim = _free_chains(table, (c for c, t in zip(table.constraints, masks)
                                    if t & fmask == fmask))
-        if check_rank:
-            assert _affine_rank((vertices[i] for i in idxs), upper_bound=dim) == dim
         faces.append(Face(tuple(idxs), dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     top_dim = faces[-1].dim

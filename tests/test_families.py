@@ -89,6 +89,16 @@ def test_h_123k_examples():
     assert h_123k(1).coeffs == (1, 2, 3, 1)
 
 
+def test_h_123k_equals_dense_defining_sum():
+    # the docstring's defining sum, one dense product per term, is the
+    # reference for the prefix-sum form
+    for k in range(40):
+        dense = IntPoly()
+        for j in range(k + 1):
+            dense = dense + geometric(j + 1) * phi(k - j + 1)
+        assert h_123k(k) == dense, k
+
+
 def test_h_223k_examples():
     assert h_223k(0).coeffs == (1,)
     assert h_223k(1).coeffs == (1, 1, 1)

@@ -4,10 +4,89 @@ from math import prod
 import pytest
 
 from gtfaces import checks, lattice
-from gtfaces.lattice import (ResourceLimitError, TriangularTable, _active_rank,
-                             _affine_rank, enumerate_vertices, face_lattice,
+from gtfaces.lattice import (ResourceLimitError, TriangularTable, _free_chains,
+                             enumerate_vertices, face_lattice,
                              fiber_decomposition_check, tracked_cells)
 from gtfaces.signatures import Signature, dimension, iter_signatures
+
+
+# exact integer rank: the reference for the oracle's free-chain counts
+
+def _row_echelon_insert(pivots, row):
+    """Reduce ``row`` against the echelon ``pivots`` (lead column -> row,
+    rows have zeros before their lead); insert if independent."""
+    ncols = len(row)
+    c = 0
+    while c < ncols:
+        if row[c]:
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                return True
+            f, p = row[c], prow[c]
+            row = [p * x - f * y for x, y in zip(row, prow)]
+        c += 1
+    return False
+
+
+def _active_rank(values, table):
+    """Rank of the normals of all constraints tight at the point given by
+    its node values ``top + cells``."""
+    s, n = table.s, len(table.cells)
+    pivots = {}
+    rank = 0
+    for lo, hi in table.constraints:
+        if values[lo] != values[hi]:
+            continue
+        row = [0] * n
+        if lo >= s:
+            row[lo - s] += 1
+        if hi >= s:
+            row[hi - s] -= 1
+        if _row_echelon_insert(pivots, row):
+            rank += 1
+            if rank == n:
+                break
+    return rank
+
+
+def _affine_rank(points):
+    """Affine rank of a point set over the rationals, by exact integer
+    elimination on difference vectors."""
+    it = iter(points)
+    try:
+        origin = next(it)
+    except StopIteration:
+        return 0
+    pivots = {}
+    rank = 0
+    ncols = len(origin)
+    for pt in it:
+        row = [a - b for a, b in zip(pt, origin)]
+        if _row_echelon_insert(pivots, row):
+            rank += 1
+            if rank == ncols:
+                break
+    return rank
+
+
+def _integer_points(table):
+    """Every integer point as node values ``top + cells``, each cell ranging
+    between its two upper neighbours (constraints 2i and 2i+1), as in the
+    vertex DFS."""
+    s, ncells = table.s, len(table.cells)
+    values = list(table.top) + [0] * ncells
+
+    def walk(i):
+        if i == ncells:
+            yield tuple(values)
+            return
+        lo, hi = table.constraints[2 * i][0], table.constraints[2 * i + 1][1]
+        for v in range(values[lo], values[hi] + 1):
+            values[s + i] = v
+            yield from walk(i + 1)
+
+    return walk(0)
 
 
 def test_table_shape():
@@ -72,20 +151,28 @@ def test_oracle_agrees_with_engine_s6_spots(monkeypatch):
     assert ok, detail
 
 
-@pytest.mark.parametrize("mults", [(1, 5), (2, 4), (3, 3)])
-def test_free_chains_match_rank_beyond_inline_checks(mults, monkeypatch):
-    # tables of more than 10 cells skip the in-line rank asserts; check the
-    # free-chain vertex test and face dimensions against exact rank here
-    monkeypatch.setattr(lattice, "MAX_S", 6)
-    sig = Signature(mults)
+@pytest.mark.parametrize(
+    "sig", list(checks.signatures_up_to(5)) + [Signature(m) for m in [(1, 5), (2, 4), (3, 3)]],
+    ids=lambda sig: ",".join(map(str, sig.mults)))
+def test_free_chains_match_exact_rank(sig, monkeypatch):
+    # the oracle's one dimension routine against exact integer rank: on every
+    # table the oracle accepts (all s <= 5), and on three s = 6 tables
+    if sig.s > lattice.MAX_S:
+        monkeypatch.setattr(lattice, "MAX_S", 6)
     lat = face_lattice(sig)
     table = TriangularTable.from_signature(sig)
-    assert len(table.cells) > 10
-    for v in lat.vertices:
-        assert _active_rank(table.top + v, table) == len(table.cells)
+    s, ncells = table.s, len(table.cells)
+    vertices = []
+    for p in _integer_points(table):
+        rank = _active_rank(p, table)
+        tight = [c for c in table.constraints if p[c[0]] == p[c[1]]]
+        assert _free_chains(table, tight) == ncells - rank, p
+        if rank == ncells:
+            vertices.append(p[s:])
+    assert list(lat.vertices) == vertices
     for face in lat.faces:
         points = [lat.vertices[i] for i in face.vertex_indices]
-        assert _affine_rank(points) == face.dim
+        assert _affine_rank(points) == face.dim, face
 
 
 @pytest.mark.parametrize("s", range(1, 5))
