@@ -12,8 +12,9 @@ Exit codes:
   2  usage error: bad arguments, malformed input, --json with --csv,
      verify --max-s below 1, an --out file that cannot be opened for writing
   3  resource limit: an oracle budget (lattice.MAX_S, MAX_CANDIDATES,
-     MAX_FACES), the engine budget (engine.MAX_CUBE_CHILDREN cube children
-     per evaluation), or a family parameter above families.MAX_K
+     MAX_FACES), the engine budget (engine.MAX_ENGINE_WORK transfer steps
+     and coefficient products per evaluation), or a family parameter above
+     families.MAX_K
 """
 
 from __future__ import annotations

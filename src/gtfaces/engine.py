@@ -15,23 +15,34 @@ A cube face is picked by choosing, for each coordinate j, the endpoint j,
 the endpoint j+1, or the free middle; the fiber's level sequence
 interleaves the chosen barycenter coordinates with the surviving copies of
 the original levels, so its run lengths follow from the picks alone.
+
+Block q of the fiber depends only on picks q - 1 and q, so the engine does
+not walk all 3^(k-1) pick vectors: a left-to-right transfer over the picks
+keeps, per fiber prefix and carry bit, the polynomial in t counting the
+partial pick vectors that reach it by cube dimension, and sums them per
+distinct fiber.  ``cube_children`` enumerates the pick vectors one by one
+and stays as the reference the transfer is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .poly import IntPoly
 # canonicalize is re-exported because perfbench/worker.py patches it here
-from .signatures import Signature, canonicalize, reverse_normal_form  # noqa: F401
+from .signatures import Signature, canonicalize, dimension, reverse_normal_form  # noqa: F401
 
-# cube children one evaluation may build before it stops; 1^12 needs 731,922
-MAX_CUBE_CHILDREN = 1_000_000
+# work one evaluation may do before it stops, in coefficient products of the
+# final sums; a transfer step (one state extended by one pick) is charged
+# _STEP_WORK products, about its measured cost, so that a signature with many
+# levels stops before its transfer states fill memory.  On a 2-core Xeon with
+# Python 3.11, 1^13 takes 10.9M in about 2 s and (2,1200) 14.0M in about 6 s.
+MAX_ENGINE_WORK = 16_000_000
+_STEP_WORK = 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -86,6 +97,52 @@ def cube_children(sig: Signature) -> list[FiberChild]:
             for picks in product((Pick.LOW, Pick.MID, Pick.HIGH), repeat=sig.k - 1)]
 
 
+def transfer_children(sig: Signature,
+                      spend: Callable[[int], None] = lambda work: None,
+                      ) -> dict[Signature, IntPoly]:
+    """The distinct fibers of ``cube_children(sig)`` in reverse normal form,
+    each with the polynomial sum of t^cube_dim over the pick vectors that
+    give it.
+
+    A state is a fiber prefix and the carry bit of the last pick, weighted
+    by that polynomial; each block extends it by the rule of
+    ``fiber_child``.  ``spend`` is charged _STEP_WORK per step before each
+    block, and may raise to stop the transfer.
+    """
+    if sig.k < 2:
+        raise ValueError("fibers need at least two distinct levels")
+    states: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {((), False): (1,)}
+    for m in sig.mults[:-1]:
+        spend(_STEP_WORK * 3 * len(states))
+        grown: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {}
+        for (prefix, carry), weight in states.items():
+            kept = m - 1 + carry
+            head = prefix + (kept,) if kept else prefix
+            _add_weight(grown, (prefix + (kept + 1,), False), weight)  # LOW
+            _add_weight(grown, (head + (1,), False), (0,) + weight)    # MID
+            _add_weight(grown, (head, True), weight)                   # HIGH
+        states = grown
+    children: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for (prefix, carry), weight in states.items():
+        kept = sig.mults[-1] - 1 + carry
+        mults = prefix + (kept,) if kept else prefix
+        # reverse_normal_form's key on the bare tuple, so that each distinct
+        # child builds one Signature
+        _add_weight(children, min(mults, mults[::-1]), weight)
+    return {Signature(mults): IntPoly(weight) for mults, weight in children.items()}
+
+
+def _add_weight(table: dict, key: object, weight: tuple[int, ...]) -> None:
+    """table[key] += weight, coefficientwise; absent keys count as zero."""
+    old = table.get(key)
+    if old is None:
+        table[key] = weight
+        return
+    if len(old) < len(weight):
+        old, weight = weight, old
+    table[key] = tuple(a + b for a, b in zip(old, weight)) + old[len(weight):]
+
+
 def simplex_f_polynomial(m: int) -> IntPoly:
     """f-polynomial of an m-simplex: sum_d C(m+1, d+1) t^d."""
     if m < 0:
@@ -118,11 +175,24 @@ class FaceCountEngine:
     def _evaluate(self, root: Signature) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
 
-        Every child is one entry shorter than its parent, so evaluating by
+        The expansion pass runs the transfer of every uncached node and
+        charges its steps and the coefficient products its sum will take
+        against MAX_ENGINE_WORK, so an oversized input stops before any
+        polynomial arithmetic.  Every child is one entry shorter than its
+        parent, so summing weight * f(child) over the distinct children by
         ascending length finds each child's polynomial already cached.
         """
-        grouped: dict[Signature, Counter[tuple[int, Signature]]] = {}
-        built = 0
+        used = 0
+
+        def spend(work: int) -> None:
+            nonlocal used
+            used += work
+            if used > MAX_ENGINE_WORK:
+                raise ResourceLimitError(
+                    f"{root.mults}: over engine budget MAX_ENGINE_WORK="
+                    f"{MAX_ENGINE_WORK}, {used} work units reached")
+
+        grouped: dict[Signature, dict[Signature, IntPoly]] = {}
         todo = [root]
         while todo:
             sig = todo.pop()
@@ -132,18 +202,14 @@ class FaceCountEngine:
                 # all levels equal: the polytope is a point, whatever the length
                 self._cache[sig] = IntPoly([1])
                 continue
-            built += 3 ** (sig.k - 1)
-            if built > MAX_CUBE_CHILDREN:
-                raise ResourceLimitError(
-                    f"{root.mults}: over engine budget MAX_CUBE_CHILDREN="
-                    f"{MAX_CUBE_CHILDREN}, {built} cube children reached")
-            grouped[sig] = Counter((fc.cube_dim, reverse_normal_form(fc.child))
-                                   for fc in cube_children(sig))
-            todo.extend(child for _, child in grouped[sig])
+            children = grouped[sig] = transfer_children(sig, spend)
+            spend(sum(len(weight.coeffs) * (dimension(child) + 1)
+                      for child, weight in children.items()))
+            todo.extend(children)
         for sig in sorted(grouped, key=lambda g: g.s):
             total = IntPoly()
-            for (cube_dim, child), count in grouped[sig].items():
-                total = total + IntPoly.monomial(cube_dim, count) * self._cache[child]
+            for child, weight in grouped[sig].items():
+                total = total + weight * self._cache[child]
             self._cache[sig] = total
 
 

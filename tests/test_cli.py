@@ -212,13 +212,25 @@ def test_quiet_human(capsys):
 def test_engine_budget_exits_3(capsys, monkeypatch):
     from gtfaces import engine
 
-    monkeypatch.setattr(engine, "MAX_CUBE_CHILDREN", 20)
+    monkeypatch.setattr(engine, "MAX_ENGINE_WORK", 20)
     monkeypatch.setattr(engine, "_DEFAULT_ENGINE", engine.FaceCountEngine())
     code, out, err = run(capsys, "f", "--signature", "1,1,1,1,1")
     assert code == 3
     assert out == ""
-    assert "engine budget MAX_CUBE_CHILDREN=20" in err
+    assert "engine budget MAX_ENGINE_WORK=20" in err
     assert "(1, 1, 1, 1, 1)" in err
+
+
+def test_thirteen_levels_fit_the_engine_budget(capsys, monkeypatch):
+    from gtfaces import engine
+
+    monkeypatch.setattr(engine, "_DEFAULT_ENGINE", engine.FaceCountEngine())
+    code, out, _ = run(capsys, "f", "--signature", ",".join(["1"] * 13), "--json")
+    assert code == 0
+    rec = json.loads(out)
+    f = [int(c) for c in rec["f_vector"]]
+    assert len(f) == rec["dimension"] + 1 and f[-1] == 1
+    assert sum((-1) ** d * c for d, c in enumerate(f)) == 1
 
 
 @pytest.mark.parametrize("argv, code, needle", [
@@ -229,8 +241,9 @@ def test_engine_budget_exits_3(capsys, monkeypatch):
     (["f", "--signature", "1,2", "--out", "{tmp}"], 2, "cannot write"),
     (["family", "--family", "12k3", "--k", "0:10000000000000"], 3, "MAX_K"),
     (["gf", "--family", "223k", "--kmax", str(MAX_K + 1)], 3, "MAX_K"),
+    (["f", "--signature", "2,2400"], 3, "engine budget MAX_ENGINE_WORK="),
 ], ids=["json-with-csv", "max-s-zero", "max-s-over-default", "out-missing-dir",
-        "out-is-dir", "family-k-over-max", "gf-kmax-over-max"])
+        "out-is-dir", "family-k-over-max", "gf-kmax-over-max", "engine-work-over-max"])
 def test_bad_input_exits_cleanly(argv, code, needle, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     env = {**os.environ, "PYTHONPATH": str(SRC)}

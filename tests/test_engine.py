@@ -7,9 +7,12 @@ import pytest
 
 from gtfaces import checks
 from gtfaces.engine import (FaceCountEngine, Pick, cube_children, f_polynomial,
-                            fiber_child, h_polynomial, simplex_f_polynomial)
+                            fiber_child, h_polynomial, simplex_f_polynomial,
+                            transfer_children)
 from gtfaces.families import h_223k
-from gtfaces.signatures import LevelSequence, Signature, canonicalize, iter_signatures
+from gtfaces.poly import IntPoly
+from gtfaces.signatures import (LevelSequence, Signature, canonicalize, iter_signatures,
+                                reverse_normal_form)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -54,6 +57,42 @@ def test_fiber_child_matches_level_construction():
     assert built == 21837
 
 
+def grouped_cube_children(sig):
+    """The brute grouping: sum t^cube_dim over all 3^(k-1) pick vectors,
+    per fiber in reverse normal form."""
+    grouped = {}
+    for fc in cube_children(sig):
+        child = reverse_normal_form(fc.child)
+        grouped[child] = grouped.get(child, IntPoly()) + IntPoly.monomial(fc.cube_dim)
+    return grouped
+
+
+def test_transfer_examples():
+    # (1,1,1): the three vectors of LOWs and HIGHs other than (HIGH, LOW)
+    # give (1,1) over a vertex, the four with one MID over an edge, (MID, MID)
+    # over the square; (HIGH, LOW) gives the point (2,)
+    assert transfer_children(Signature((1, 1, 1))) == {
+        Signature((1, 1)): IntPoly([3, 4, 1]), Signature((2,)): IntPoly([1])}
+    # (1,3,1): (3,1) folds onto (1,3) under reversal
+    assert transfer_children(Signature((1, 3, 1))) == {
+        Signature((1, 3)): IntPoly([2, 2]), Signature((1, 2, 1)): IntPoly([1, 2, 1]),
+        Signature((4,)): IntPoly([1])}
+    assert transfer_children(Signature((2, 3))) == {
+        Signature((2, 2)): IntPoly([1]), Signature((1, 1, 2)): IntPoly([0, 1]),
+        Signature((1, 3)): IntPoly([1])}
+
+
+def test_transfer_matches_brute_grouping():
+    tested = 0
+    for s in range(2, 9):
+        for sig in iter_signatures(s):
+            if sig.k < 2:
+                continue
+            assert transfer_children(sig) == grouped_cube_children(sig), sig
+            tested += 1
+    assert tested == 247
+
+
 def test_engine_matches_reference_table_up_to_s8():
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
     tested = 0
@@ -86,6 +125,8 @@ def test_cube_children_counts_and_lengths():
 def test_cube_children_rejects_single_level():
     with pytest.raises(ValueError):
         cube_children(Signature((5,)))
+    with pytest.raises(ValueError):
+        transfer_children(Signature((5,)))
     with pytest.raises(ValueError):
         fiber_child(Signature((2,)), ())
 
