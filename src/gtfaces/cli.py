@@ -10,7 +10,8 @@ Exit codes:
   0  success
   1  a verification failed (a cross-check or a --check comparison)
   2  usage error: bad arguments, malformed input, --json with --csv,
-     verify --max-s below 1, an --out file that cannot be opened for writing
+     --csv on verify, verify --max-s below 1, an --out file that cannot be
+     opened for writing
   3  resource limit: an oracle budget (lattice.MAX_S, MAX_CANDIDATES,
      MAX_FACES), the engine budget (engine.MAX_ENGINE_WORK transfer steps
      and coefficient products per evaluation), or a family parameter above
@@ -257,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact f- and h-vectors of Gelfand-Tsetlin polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
+    def add_output_flags(p: argparse.ArgumentParser, with_csv: bool = True) -> None:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="emit JSON")
-        fmt.add_argument("--csv", action="store_true", help="emit CSV")
+        if with_csv:
+            fmt.add_argument("--csv", action="store_true", help="emit CSV")
         p.add_argument("--quiet", action="store_true", help="suppress chatter")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep all signatures with total length up to this")
     p_ver.add_argument("--adjudicate-223-k3", action="store_true",
                        help="settle the disputed h-vector of GZ(2^2 3^3)")
-    add_output_flags(p_ver)
+    add_output_flags(p_ver, with_csv=False)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -303,27 +305,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out: io.TextIOBase = sys.stdout
-    close_out = False
-    if getattr(args, "out", None):
-        try:
-            out = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"gtfaces: error: cannot write {args.out}: {exc.strerror}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        close_out = True
+    # with --out, the output is collected first and the file is written only
+    # once the command has run, so an error leaves an existing file as it was
+    buffer = io.StringIO()
+    out: io.TextIOBase = buffer if args.out else sys.stdout
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
     except ParseError as exc:
         print(f"gtfaces: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"gtfaces: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    finally:
-        if close_out:
-            out.close()
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(buffer.getvalue())
+        except OSError as exc:
+            print(f"gtfaces: error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    return code
 
 
 def entry() -> None:

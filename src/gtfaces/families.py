@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import sub
 
 from .engine import simplex_f_polynomial
 from .poly import IntPoly, SeriesRational, z_mul
@@ -100,14 +102,18 @@ def f_12k3(k: int) -> IntPoly:
           + sum_{j=1..k} (1+t)^(2(k-j)) ((2+2t) * f_simplex_j + 1),
 
     where f_simplex_j = ((1+t)^(j+1) - 1)/t expanded as binomials.
+
+    The sum is evaluated by Horner in (1+t)^2: A_0 = 2+t and
+    A_j = A_(j-1) (1+2t+t^2) + ((2+2t) f_simplex_j + 1), so f_k = A_k and
+    every product has a factor of at most three terms.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    one_plus_t = IntPoly([1, 1])
-    total = one_plus_t ** (2 * k) * IntPoly([2, 1])
+    one_plus_t_sq = IntPoly([1, 2, 1])
+    total = IntPoly([2, 1])
     for j in range(1, k + 1):
         term = IntPoly([2, 2]) * simplex_f_polynomial(j) + IntPoly([1])
-        total = total + one_plus_t ** (2 * (k - j)) * term
+        total = total * one_plus_t_sq + term
     return total
 
 
@@ -168,8 +174,14 @@ def _system_matrix_power(m: int) -> _Mat:
             s_minus_1 * phi(m), phi(m) - s_sq * phi(m - 1))
 
 
-def _mat_vec(m: _Mat, v: tuple[IntPoly, IntPoly]) -> tuple[IntPoly, IntPoly]:
-    return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
+def _times_geometric(p: IntPoly, n: int) -> IntPoly:
+    """p * (1 + s + ... + s^n) as a sliding-window sum over p's
+    coefficients: coefficient d is p_(d-n) + ... + p_d, O(deg p + n)."""
+    prefix = [0, *accumulate(p.coeffs)]
+    # upper[d] = prefix[min(d+1, len p)], lower[d] = prefix[max(d-n, 0)]
+    upper = prefix[1:] + [prefix[-1]] * n
+    lower = [0] * n + prefix[:-1]
+    return IntPoly(map(sub, upper, lower))
 
 
 def h_pair_matrix(k: int) -> HPair:
@@ -178,16 +190,19 @@ def h_pair_matrix(k: int) -> HPair:
     (h_123k, h_223k)^T = M^k (s+1, 1)^T + sum_{j=1..k} M^(k-j) ((s+1) g_j, g_j)^T
 
     with g_j = 1 + s + ... + s^j.  Must agree with h_123k / h_223k entrywise.
+
+    With g_0 = 1 the first term is the j = 0 term of the sum.  For
+    M^(k-j) = [[m0, m1], [m2, m3]] the j-th term is
+    ((m0 (s+1) + m1) g_j, (m2 (s+1) + m3) g_j); since s + 1 = g_1, both
+    factors are sliding-window sums, so no dense product is formed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    s_plus_1 = IntPoly([1, 1])
-    top, bot = _mat_vec(_system_matrix_power(k), (s_plus_1, IntPoly([1])))
-    for j in range(1, k + 1):
-        g = geometric(j)
-        inc_top, inc_bot = _mat_vec(_system_matrix_power(k - j), (s_plus_1 * g, g))
-        top = top + inc_top
-        bot = bot + inc_bot
+    top = bot = IntPoly()
+    for j in range(k + 1):
+        m0, m1, m2, m3 = _system_matrix_power(k - j)
+        top = top + _times_geometric(_times_geometric(m0, 1) + m1, j)
+        bot = bot + _times_geometric(_times_geometric(m2, 1) + m3, j)
     return HPair(top, bot)
 
 

@@ -203,6 +203,18 @@ def test_out_file(tmp_path, capsys):
     assert rec["f_vector"] == ["7", "11", "6", "1"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["f", "--signature", "x"], 2),
+    (["gf", "--family", "223k", "--kmax", str(MAX_K + 1)], 3),
+], ids=["usage-error", "resource-limit"])
+def test_failed_run_leaves_out_file_untouched(argv, code, tmp_path, capsys):
+    target = tmp_path / "existing.txt"
+    target.write_text("earlier output\n")
+    assert main([*argv, "--out", str(target)]) == code
+    capsys.readouterr()
+    assert target.read_text() == "earlier output\n"
+
+
 def test_quiet_human(capsys):
     code, out, _ = run(capsys, "f", "--signature", "1,1,1", "--quiet")
     assert code == 0
@@ -242,8 +254,10 @@ def test_thirteen_levels_fit_the_engine_budget(capsys, monkeypatch):
     (["family", "--family", "12k3", "--k", "0:10000000000000"], 3, "MAX_K"),
     (["gf", "--family", "223k", "--kmax", str(MAX_K + 1)], 3, "MAX_K"),
     (["f", "--signature", "2,2400"], 3, "engine budget MAX_ENGINE_WORK="),
+    (["verify", "--max-s", "2", "--csv"], 2, "unrecognized arguments: --csv"),
 ], ids=["json-with-csv", "max-s-zero", "max-s-over-default", "out-missing-dir",
-        "out-is-dir", "family-k-over-max", "gf-kmax-over-max", "engine-work-over-max"])
+        "out-is-dir", "family-k-over-max", "gf-kmax-over-max", "engine-work-over-max",
+        "verify-csv"])
 def test_bad_input_exits_cleanly(argv, code, needle, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -1,9 +1,10 @@
 import pytest
 
-from gtfaces.engine import h_polynomial
-from gtfaces.families import (Family, f_12k3, family_h, family_signature,
-                              generating_function, geometric, h_12k3, h_123k,
-                              h_223k, h_pair_matrix, phi, phi_root_form_value)
+from gtfaces.engine import h_polynomial, simplex_f_polynomial
+from gtfaces.families import (MAX_K, Family, _system_matrix_power, f_12k3,
+                              family_h, family_signature, generating_function,
+                              geometric, h_12k3, h_123k, h_223k, h_pair_matrix,
+                              phi, phi_root_form_value)
 from gtfaces.poly import IntPoly, series_coeffs
 from gtfaces.signatures import dimension
 
@@ -78,9 +79,21 @@ def test_f_12k3_examples():
     assert f_12k3(5) == h_12k3(5).shift(1)
 
 
-@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("k", [*range(9), 60, MAX_K])
 def test_f_12k3_equals_shifted_h(k):
     assert f_12k3(k) == h_12k3(k).shift(1)
+
+
+def test_f_12k3_equals_dense_unrolled_sum():
+    # the docstring's unrolled sum, each power of (1+t) formed densely, is
+    # the reference for the Horner form
+    one_plus_t = IntPoly([1, 1])
+    for k in range(40):
+        dense = one_plus_t ** (2 * k) * IntPoly([2, 1])
+        for j in range(1, k + 1):
+            term = IntPoly([2, 2]) * simplex_f_polynomial(j) + IntPoly([1])
+            dense = dense + one_plus_t ** (2 * (k - j)) * term
+        assert f_12k3(k) == dense, k
 
 
 def test_h_123k_examples():
@@ -111,11 +124,28 @@ def test_coupled_families_match_engine(k):
     assert h_223k(k) == h_polynomial(family_signature(Family.GZ_223K, k))
 
 
-@pytest.mark.parametrize("k", range(13))
+@pytest.mark.parametrize("k", [*range(13), 60, MAX_K])
 def test_h_pair_matrix_matches_formulas(k):
     pair = h_pair_matrix(k)
     assert pair.h_123k == h_123k(k)
     assert pair.h_223k == h_223k(k)
+
+
+def test_h_pair_matrix_equals_dense_defining_sum():
+    # the docstring's defining sum, one dense matrix-vector product per
+    # term, is the reference for the sliding-window form
+    def mat_vec(m, v):
+        return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
+
+    s_plus_1 = IntPoly([1, 1])
+    for k in range(40):
+        top, bot = mat_vec(_system_matrix_power(k), (s_plus_1, IntPoly([1])))
+        for j in range(1, k + 1):
+            g = geometric(j)
+            inc_top, inc_bot = mat_vec(_system_matrix_power(k - j), (s_plus_1 * g, g))
+            top, bot = top + inc_top, bot + inc_bot
+        pair = h_pair_matrix(k)
+        assert (pair.h_123k, pair.h_223k) == (top, bot), k
 
 
 def test_h_pair_matrix_base_case():
