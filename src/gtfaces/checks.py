@@ -91,7 +91,7 @@ def simplex_shortcut(max_m: int) -> CheckResult:
         for mults in ((1, m), (m, 1)):
             if f_polynomial(Signature(mults)) != simplex_f_polynomial(m):
                 return CheckResult(False, f"{mults}: disagrees with the closed form")
-    return CheckResult(True, f"(1,m) for m <= {max_m} agree with the closed form")
+    return CheckResult(True, f"(1,m) and (m,1) for m <= {max_m} agree with the closed form")
 
 
 def fiber_decomposition(sigs: Iterable[Signature]) -> CheckResult:

@@ -8,14 +8,18 @@ Subcommands:
 
 Exit codes:
   0  success
-  1  a verification failed (a cross-check or a --check comparison)
+  1  a verification failed (a cross-check or a --check comparison); a
+     failed comparison is reported on stderr, so --json and --csv output
+     stays parseable
   2  usage error: bad arguments, malformed input, --json with --csv,
-     --csv on verify, verify --max-s below 1, an --out file that cannot be
-     opened for writing
-  3  resource limit: an oracle budget (lattice.MAX_S, MAX_CANDIDATES,
-     MAX_FACES), the engine budget (engine.MAX_ENGINE_WORK transfer steps
-     and coefficient products per evaluation), or a family parameter above
+     --csv on verify, --quiet on gf, verify --max-s below 1, an --out file
+     that cannot be opened for writing
+  3  resource limit: the oracle budget (total length above lattice.MAX_S),
+     the engine budget (engine.MAX_ENGINE_WORK transfer steps and
+     coefficient products per evaluation), or a family parameter above
      families.MAX_K
+
+With --json, ``family --k A:B`` prints a list, ``family --k K`` one object.
 """
 
 from __future__ import annotations
@@ -109,8 +113,6 @@ def _parse_k_spec(spec: str) -> range:
         hi = int(hi_text) if sep else lo
     except ValueError:
         raise ParseError(f"cannot parse k spec {spec!r}") from None
-    if not sep and lo < 0:
-        raise ParseError("k must be >= 0")
     if lo < 0 or hi < lo:
         raise ParseError(f"bad k range {spec!r}")
     _check_k(hi)
@@ -153,7 +155,7 @@ def cmd_family(args: argparse.Namespace, out: io.TextIOBase) -> int:
                 disagreements += 1
         records.append(rec)
     if args.json:
-        _emit_json(records if len(records) > 1 else records[0], out)
+        _emit_json(records if ":" in args.k else records[0], out)
     elif args.csv:
         _emit_record_csv(records, out, with_k=True)
     else:
@@ -164,7 +166,8 @@ def cmd_family(args: argparse.Namespace, out: io.TextIOBase) -> int:
             if "engine_agrees" in rec:
                 out.write(f"engine agrees: {rec['engine_agrees']}\n")
     if disagreements:
-        out.write(f"{disagreements} closed-form value(s) disagree with the engine\n")
+        print(f"gtfaces: {disagreements} closed-form value(s) disagree with the engine",
+              file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -200,7 +203,8 @@ def cmd_gf(args: argparse.Namespace, out: io.TextIOBase) -> int:
             flag = "" if rec["matches_formula"] else "   MISMATCH vs formula"
             out.write(f"k={rec['k']}: h = ({', '.join(rec['h_vector'])}){flag}\n")
     if mismatched:
-        out.write(f"series coefficients at k={mismatched} disagree with the per-k formula\n")
+        print(f"gtfaces: series coefficients at k={mismatched} disagree with the "
+              "per-k formula", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -263,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         fmt.add_argument("--json", action="store_true", help="emit JSON")
         if with_csv:
             fmt.add_argument("--csv", action="store_true", help="emit CSV")
-        p.add_argument("--quiet", action="store_true", help="suppress chatter")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
     p_f = sub.add_parser("f", help="f-/h-vector of one polytope")
@@ -299,6 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="settle the disputed h-vector of GZ(2^2 3^3)")
     add_output_flags(p_ver, with_csv=False)
     p_ver.set_defaults(func=cmd_verify)
+
+    # gf prints one line per k and nothing else, so it has no --quiet
+    for p in (p_f, p_fam, p_ver):
+        p.add_argument("--quiet", action="store_true", help="suppress chatter")
     return parser
 
 

@@ -121,18 +121,14 @@ def h_123k(k: int) -> IntPoly:
     """h-polynomial of the (1, 1, k) family:
     sum_{j=0..k} (1 + s + ... + s^(j+1)) * phi(k - j + 1).
 
-    Collecting the powers of s, the sum is
-    P(k+1) + sum_{i=1..k+1} s^i P(k+2-i) with P(n) = phi(1) + ... + phi(n),
-    so it needs prefix sums and monomial shifts only, no dense products.
+    Each term is a sliding-window sum over phi's coefficients, as in
+    ``h_pair_matrix``, so no dense product is formed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    prefix = [IntPoly()]
-    for m in range(1, k + 2):
-        prefix.append(prefix[-1] + phi(m))
-    total = prefix[k + 1]
-    for i in range(1, k + 2):
-        total = total + IntPoly.monomial(i) * prefix[k + 2 - i]
+    total = IntPoly()
+    for j in range(k + 1):
+        total = total + _times_geometric(phi(k - j + 1), j + 1)
     return total
 
 

@@ -36,18 +36,13 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
-        if coeff == 0:
-            return cls()
-        return cls([0] * degree + [coeff])
+    def monomial(cls, degree: int) -> "IntPoly":
+        return cls([0] * degree + [1])
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, d: int) -> int:
         """Coefficient of x**d (0 outside the stored range)."""
@@ -147,33 +142,6 @@ class IntPoly:
             res = nxt
         return IntPoly(res)
 
-    def pretty(self, var: str = "t") -> str:
-        """Human-readable form like '7 + 11*t + 6*t^2 + t^3'."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                term = str(c)
-            else:
-                base = var if d == 1 else f"{var}^{d}"
-                if c == 1:
-                    term = base
-                elif c == -1:
-                    term = f"-{base}"
-                else:
-                    term = f"{c}*{base}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += f" - {term[1:]}"
-            else:
-                out += f" + {term}"
-        return out
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
 
@@ -188,7 +156,7 @@ def z_mul(a: Sequence[IntPoly], b: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
             for j, q in enumerate(b):
                 if q:
                     out[i + j] = out[i + j] + p * q
-    while out and out[-1].is_zero():
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
@@ -205,16 +173,8 @@ class SeriesRational:
     denominator: tuple[IntPoly, ...]
 
     def __post_init__(self) -> None:
-        num = list(self.numerator)
-        den = list(self.denominator)
-        while num and num[-1].is_zero():
-            num.pop()
-        while den and den[-1].is_zero():
-            den.pop()
-        if not den or den[0] != 1:
+        if not self.denominator or self.denominator[0] != 1:
             raise ValueError("denominator at z=0 must be the constant 1")
-        object.__setattr__(self, "numerator", tuple(num))
-        object.__setattr__(self, "denominator", tuple(den))
 
 
 def series_coeffs(r: SeriesRational, k_max: int) -> list[IntPoly]:

@@ -38,9 +38,6 @@ class LevelSequence:
                 raise ValueError(f"level sequence is not nondecreasing at {a} > {b}")
         object.__setattr__(self, "values", vals)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -101,17 +98,16 @@ def parse_level_sequence(text: str) -> LevelSequence:
 
 def parse_signature(text: str) -> Signature:
     """Parse comma-separated positive multiplicities like '1,3,1'."""
-    tokens = [tok.strip() for tok in text.split(",")]
     mults: list[int] = []
-    for tok in tokens:
+    for tok in (tok.strip() for tok in text.split(",")):
         try:
-            m = int(tok)
+            mults.append(int(tok))
         except ValueError:
             raise ParseError(f"cannot parse multiplicity {tok!r}") from None
-        if m < 1:
-            raise ParseError(f"multiplicity {tok!r} must be a positive integer")
-        mults.append(m)
-    return Signature(tuple(mults))
+    try:
+        return Signature(tuple(mults))
+    except ValueError as exc:
+        raise ParseError(f"bad signature {text!r}: {exc}") from None
 
 
 def canonicalize(seq: LevelSequence) -> Signature:

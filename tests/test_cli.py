@@ -154,6 +154,28 @@ def test_disagreement_exits_1(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gf", "--family", "223k", "--kmax", "1", "--json"],
+    ["family", "--family", "223k", "--k", "0:1", "--check", "--json"],
+], ids=["gf", "family-check"])
+def test_failed_comparison_keeps_json_parseable(argv, capsys, monkeypatch):
+    from gtfaces.poly import IntPoly
+
+    monkeypatch.setattr("gtfaces.families.family_h", lambda fam, k: IntPoly([9]))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert len(json.loads(out)) == 2
+    assert err.startswith("gtfaces: ") and "disagree" in err
+
+
+def test_family_json_shape_follows_the_k_spec(capsys):
+    # a range spec always gives a list, even of one record; a single k an object
+    _, out, _ = run(capsys, "family", "--family", "12k3", "--k", "3:3", "--json")
+    assert [rec["k"] for rec in json.loads(out)] == [3]
+    _, out, _ = run(capsys, "family", "--family", "12k3", "--k", "3", "--json")
+    assert json.loads(out)["k"] == 3
+
+
 def test_verify_planted_failure_exits_1(capsys, monkeypatch):
     from gtfaces.poly import IntPoly
 
@@ -255,9 +277,11 @@ def test_thirteen_levels_fit_the_engine_budget(capsys, monkeypatch):
     (["gf", "--family", "223k", "--kmax", str(MAX_K + 1)], 3, "MAX_K"),
     (["f", "--signature", "2,2400"], 3, "engine budget MAX_ENGINE_WORK="),
     (["verify", "--max-s", "2", "--csv"], 2, "unrecognized arguments: --csv"),
+    (["gf", "--family", "123k", "--kmax", "2", "--quiet"], 2,
+     "unrecognized arguments: --quiet"),
 ], ids=["json-with-csv", "max-s-zero", "max-s-over-default", "out-missing-dir",
         "out-is-dir", "family-k-over-max", "gf-kmax-over-max", "engine-work-over-max",
-        "verify-csv"])
+        "verify-csv", "gf-quiet"])
 def test_bad_input_exits_cleanly(argv, code, needle, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -104,7 +104,7 @@ def test_h_123k_examples():
 
 def test_h_123k_equals_dense_defining_sum():
     # the docstring's defining sum, one dense product per term, is the
-    # reference for the prefix-sum form
+    # reference for the windowed-sum form
     for k in range(40):
         dense = IntPoly()
         for j in range(k + 1):
