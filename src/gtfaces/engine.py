@@ -22,6 +22,13 @@ keeps, per fiber prefix and carry bit, the polynomial in t counting the
 partial pick vectors that reach it by cube dimension, and sums them per
 distinct fiber.  ``cube_children`` enumerates the pick vectors one by one
 and stays as the reference the transfer is tested against.
+
+The inner loops touch only ints, tuples and one list per node.  A transfer
+weight is one int holding its coefficients in fixed-width slots (see
+``transfer_children``), nodes are keyed by their run-length tuples in
+reverse normal form, and a node's sum adds each slot times the child's
+coefficients into a single coefficient list; the one ``IntPoly`` built per
+node is the finished polynomial.
 """
 
 from __future__ import annotations
@@ -34,13 +41,14 @@ from typing import Callable, Iterable
 
 from .poly import IntPoly
 # canonicalize is re-exported because perfbench/worker.py patches it here
-from .signatures import Signature, canonicalize, dimension, reverse_normal_form  # noqa: F401
+from .signatures import Signature, canonicalize, e2  # noqa: F401
 
 # work one evaluation may do before it stops, in coefficient products of the
 # final sums; a transfer step (one state extended by one pick) is charged
 # _STEP_WORK products, about its measured cost, so that a signature with many
 # levels stops before its transfer states fill memory.  On a 2-core Xeon with
-# Python 3.11, 1^13 takes 10.9M in about 2 s and (2,1200) 14.0M in about 6 s.
+# Python 3.11, 1^13 takes 10.9M in about 1 s and (2,1200) 14.0M in about 4 s,
+# each through the CLI.
 MAX_ENGINE_WORK = 16_000_000
 _STEP_WORK = 16
 
@@ -97,50 +105,54 @@ def cube_children(sig: Signature) -> list[FiberChild]:
             for picks in product((Pick.LOW, Pick.MID, Pick.HIGH), repeat=sig.k - 1)]
 
 
-def transfer_children(sig: Signature,
+def transfer_children(mults: tuple[int, ...],
                       spend: Callable[[int], None] = lambda work: None,
-                      ) -> dict[Signature, IntPoly]:
-    """The distinct fibers of ``cube_children(sig)`` in reverse normal form,
-    each with the polynomial sum of t^cube_dim over the pick vectors that
-    give it.
+                      ) -> dict[tuple[int, ...], int]:
+    """The distinct fibers of ``cube_children(Signature(mults))``, keyed by
+    their run lengths in reverse normal form, each with the polynomial sum
+    of t^cube_dim over the pick vectors that give it, packed into one int.
+
+    Coefficient j of a weight sits in bits [j * wb, (j + 1) * wb), where
+    wb = (3^(k-1)).bit_length() for k = len(mults).  A coefficient counts
+    pick vectors, so it is at most 3^(k-1) < 2^wb, and adding weights never
+    carries from one slot into the next.
 
     A state is a fiber prefix and the carry bit of the last pick, weighted
     by that polynomial; each block extends it by the rule of
     ``fiber_child``.  ``spend`` is charged _STEP_WORK per step before each
     block, and may raise to stop the transfer.
     """
-    if sig.k < 2:
+    if len(mults) < 2:
         raise ValueError("fibers need at least two distinct levels")
-    states: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {((), False): (1,)}
-    for m in sig.mults[:-1]:
+    wb = _slot_width(len(mults))
+    states: dict[tuple[tuple[int, ...], bool], int] = {((), False): 1}
+    for m in mults[:-1]:
         spend(_STEP_WORK * 3 * len(states))
-        grown: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {}
+        grown: dict[tuple[tuple[int, ...], bool], int] = {}
+        get = grown.get
         for (prefix, carry), weight in states.items():
             kept = m - 1 + carry
             head = prefix + (kept,) if kept else prefix
-            _add_weight(grown, (prefix + (kept + 1,), False), weight)  # LOW
-            _add_weight(grown, (head + (1,), False), (0,) + weight)    # MID
-            _add_weight(grown, (head, True), weight)                   # HIGH
+            key = (prefix + (kept + 1,), False)  # LOW
+            grown[key] = get(key, 0) + weight
+            key = (head + (1,), False)           # MID: one more cube dimension
+            grown[key] = get(key, 0) + (weight << wb)
+            key = (head, True)                   # HIGH
+            grown[key] = get(key, 0) + weight
         states = grown
-    children: dict[tuple[int, ...], tuple[int, ...]] = {}
+    children: dict[tuple[int, ...], int] = {}
     for (prefix, carry), weight in states.items():
-        kept = sig.mults[-1] - 1 + carry
-        mults = prefix + (kept,) if kept else prefix
-        # reverse_normal_form's key on the bare tuple, so that each distinct
-        # child builds one Signature
-        _add_weight(children, min(mults, mults[::-1]), weight)
-    return {Signature(mults): IntPoly(weight) for mults, weight in children.items()}
+        kept = mults[-1] - 1 + carry
+        child = prefix + (kept,) if kept else prefix
+        child = min(child, child[::-1])
+        children[child] = children.get(child, 0) + weight
+    return children
 
 
-def _add_weight(table: dict, key: object, weight: tuple[int, ...]) -> None:
-    """table[key] += weight, coefficientwise; absent keys count as zero."""
-    old = table.get(key)
-    if old is None:
-        table[key] = weight
-        return
-    if len(old) < len(weight):
-        old, weight = weight, old
-    table[key] = tuple(a + b for a, b in zip(old, weight)) + old[len(weight):]
+def _slot_width(k: int) -> int:
+    """Bits per coefficient of the packed weights of a k-level transfer:
+    enough for the 3^(k-1) pick vectors."""
+    return (3 ** (k - 1)).bit_length()
 
 
 def simplex_f_polynomial(m: int) -> IntPoly:
@@ -153,17 +165,17 @@ def simplex_f_polynomial(m: int) -> IntPoly:
 class FaceCountEngine:
     """Memoized evaluator of the cube-projection recurrence.
 
-    The cache maps signatures in reverse normal form to finished
+    The cache maps run-length tuples in reverse normal form to finished
     polynomials.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[Signature, IntPoly] = {}
+        self._cache: dict[tuple[int, ...], IntPoly] = {}
 
     def f_polynomial(self, sig: Signature) -> IntPoly:
         """Exact f-polynomial: coefficient of t^d counts d-dimensional faces,
         the polytope itself included."""
-        key = reverse_normal_form(sig)
+        key = min(sig.mults, sig.mults[::-1])
         if key not in self._cache:
             self._evaluate(key)
         return self._cache[key]
@@ -172,7 +184,7 @@ class FaceCountEngine:
         """h(s) = f(s - 1)."""
         return self.f_polynomial(sig).shift(-1)
 
-    def _evaluate(self, root: Signature) -> None:
+    def _evaluate(self, root: tuple[int, ...]) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
 
         The expansion pass runs the transfer of every uncached node and
@@ -180,7 +192,9 @@ class FaceCountEngine:
         against MAX_ENGINE_WORK, so an oversized input stops before any
         polynomial arithmetic.  Every child is one entry shorter than its
         parent, so summing weight * f(child) over the distinct children by
-        ascending length finds each child's polynomial already cached.
+        ascending length finds each child's polynomial already cached.  A
+        node's sum is one list of coefficients: each nonzero slot w_j of a
+        packed weight adds w_j * f(child) into it, shifted by j.
         """
         used = 0
 
@@ -189,28 +203,44 @@ class FaceCountEngine:
             used += work
             if used > MAX_ENGINE_WORK:
                 raise ResourceLimitError(
-                    f"{root.mults}: over engine budget MAX_ENGINE_WORK="
+                    f"{root}: over engine budget MAX_ENGINE_WORK="
                     f"{MAX_ENGINE_WORK}, {used} work units reached")
 
-        grouped: dict[Signature, dict[Signature, IntPoly]] = {}
+        cache = self._cache
+        grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         todo = [root]
         while todo:
-            sig = todo.pop()
-            if sig in grouped or sig in self._cache:
+            mults = todo.pop()
+            if mults in grouped or mults in cache:
                 continue
-            if sig.k == 1:
+            if len(mults) == 1:
                 # all levels equal: the polytope is a point, whatever the length
-                self._cache[sig] = IntPoly([1])
+                cache[mults] = IntPoly([1])
                 continue
-            children = grouped[sig] = transfer_children(sig, spend)
-            spend(sum(len(weight.coeffs) * (dimension(child) + 1)
+            children = grouped[mults] = transfer_children(mults, spend)
+            wb = _slot_width(len(mults))
+            # one product per slot of a weight and coefficient of its child
+            spend(sum(((weight.bit_length() - 1) // wb + 1) * (e2(child) + 1)
                       for child, weight in children.items()))
             todo.extend(children)
-        for sig in sorted(grouped, key=lambda g: g.s):
-            total = IntPoly()
-            for child, weight in grouped[sig].items():
-                total = total + weight * self._cache[child]
-            self._cache[sig] = total
+        for mults in sorted(grouped, key=sum):
+            wb = _slot_width(len(mults))
+            mask = (1 << wb) - 1
+            acc = [0] * (e2(mults) + 1)
+            for child, weight in grouped[mults].items():
+                f = cache[child].coeffs
+                j = 0
+                while weight:
+                    c = weight & mask
+                    if c == 1:
+                        for i, a in enumerate(f, j):
+                            acc[i] += a
+                    elif c:
+                        for i, a in enumerate(f, j):
+                            acc[i] += c * a
+                    weight >>= wb
+                    j += 1
+            cache[mults] = IntPoly._of_ints(acc)
 
 
 _DEFAULT_ENGINE = FaceCountEngine()

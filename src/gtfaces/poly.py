@@ -32,6 +32,16 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of_ints(cls, cs: list[int]) -> "IntPoly":
+        """Trusted constructor: ``cs`` holds Python ints only and is taken
+        over, so the only work left is stripping trailing zeros."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntPoly is immutable")
 
@@ -62,7 +72,7 @@ class IntPoly:
         return hash(("IntPoly", self.coeffs))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+        return IntPoly._of_ints([-c for c in self.coeffs])
 
     def __add__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
@@ -75,7 +85,7 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return IntPoly._of_ints(out)
 
     __radd__ = __add__
 
@@ -91,7 +101,7 @@ class IntPoly:
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
+            return IntPoly._of_ints([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -102,7 +112,7 @@ class IntPoly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return IntPoly(out)
+        return IntPoly._of_ints(out)
 
     __rmul__ = __mul__
 
@@ -140,7 +150,7 @@ class IntPoly:
                 nxt[d] += r * c
             nxt[0] += a
             res = nxt
-        return IntPoly(res)
+        return IntPoly._of_ints(res)
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"

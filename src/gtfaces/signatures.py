@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from operator import mul
 from typing import Iterator
 
 
@@ -128,8 +129,13 @@ def reverse_normal_form(sig: Signature) -> Signature:
 def dimension(sig: Signature) -> int:
     """Dimension of the polytope: the number of table cells whose two outer
     bounds are distinct levels, i.e. e2(i) = sum_{q<r} i_q * i_r."""
-    s = sig.s
-    return (s * s - sum(m * m for m in sig.mults)) // 2
+    return e2(sig.mults)
+
+
+def e2(mults: tuple[int, ...]) -> int:
+    """sum_{q<r} i_q * i_r over the run lengths, without building a Signature."""
+    s = sum(mults)
+    return (s * s - sum(map(mul, mults, mults))) // 2
 
 
 def iter_signatures(total: int) -> Iterator[Signature]:

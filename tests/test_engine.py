@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from gtfaces import checks
-from gtfaces.engine import (FaceCountEngine, Pick, cube_children, f_polynomial,
-                            fiber_child, h_polynomial, simplex_f_polynomial,
-                            transfer_children)
+from gtfaces.engine import (FaceCountEngine, Pick, ResourceLimitError, cube_children,
+                            f_polynomial, fiber_child, h_polynomial,
+                            simplex_f_polynomial, transfer_children)
 from gtfaces.families import h_223k
 from gtfaces.poly import IntPoly
 from gtfaces.signatures import (LevelSequence, Signature, canonicalize, iter_signatures,
@@ -67,17 +67,35 @@ def grouped_cube_children(sig):
     return grouped
 
 
+def unpack(weight, k):
+    """A packed transfer weight of a k-level signature as an IntPoly: the
+    coefficient of t^j sits in slot j, (3^(k-1)).bit_length() bits wide."""
+    wb = (3 ** (k - 1)).bit_length()
+    coeffs = []
+    while weight:
+        coeffs.append(weight & ((1 << wb) - 1))
+        weight >>= wb
+    return IntPoly(coeffs)
+
+
+def unpacked_children(sig):
+    return {Signature(child): unpack(weight, sig.k)
+            for child, weight in transfer_children(sig.mults).items()}
+
+
 def test_transfer_examples():
     # (1,1,1): the three vectors of LOWs and HIGHs other than (HIGH, LOW)
     # give (1,1) over a vertex, the four with one MID over an edge, (MID, MID)
     # over the square; (HIGH, LOW) gives the point (2,)
-    assert transfer_children(Signature((1, 1, 1))) == {
+    assert unpacked_children(Signature((1, 1, 1))) == {
         Signature((1, 1)): IntPoly([3, 4, 1]), Signature((2,)): IntPoly([1])}
+    # slots of a 3-level weight are 4 bits wide
+    assert transfer_children((1, 1, 1)) == {(1, 1): 3 + (4 << 4) + (1 << 8), (2,): 1}
     # (1,3,1): (3,1) folds onto (1,3) under reversal
-    assert transfer_children(Signature((1, 3, 1))) == {
+    assert unpacked_children(Signature((1, 3, 1))) == {
         Signature((1, 3)): IntPoly([2, 2]), Signature((1, 2, 1)): IntPoly([1, 2, 1]),
         Signature((4,)): IntPoly([1])}
-    assert transfer_children(Signature((2, 3))) == {
+    assert unpacked_children(Signature((2, 3))) == {
         Signature((2, 2)): IntPoly([1]), Signature((1, 1, 2)): IntPoly([0, 1]),
         Signature((1, 3)): IntPoly([1])}
 
@@ -88,9 +106,71 @@ def test_transfer_matches_brute_grouping():
         for sig in iter_signatures(s):
             if sig.k < 2:
                 continue
-            assert transfer_children(sig) == grouped_cube_children(sig), sig
+            assert unpacked_children(sig) == grouped_cube_children(sig), sig
             tested += 1
     assert tested == 247
+
+
+def test_packed_slots_never_carry():
+    # 3^9 pick vectors, the most a 10-level slot must hold
+    sig = Signature((1,) * 10)
+    assert unpacked_children(sig) == grouped_cube_children(sig)
+    # a carry would move 2^wb - 1 out of the total at t = 1
+    for mults in ((1,) * 12, (2, 1, 2, 1, 2), (1, 3, 1, 3)):
+        total = sum(unpack(weight, len(mults)).evaluate(1)
+                    for weight in transfer_children(mults).values())
+        assert total == 3 ** (len(mults) - 1), mults
+
+
+def f_by_products(mults, memo):
+    """The evaluation the engine's fused sum replaces: bottom-up, one IntPoly
+    product and one sum per (node, child) over ``transfer_children``."""
+    root = min(mults, mults[::-1])
+    grouped, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if node in grouped or node in memo:
+            continue
+        if len(node) == 1:
+            memo[node] = IntPoly([1])
+            continue
+        grouped[node] = transfer_children(node)
+        todo.extend(grouped[node])
+    for node in sorted(grouped, key=sum):
+        total = IntPoly()
+        for child, weight in grouped[node].items():
+            total = total + unpack(weight, len(node)) * memo[child]
+        memo[node] = total
+    return memo[root]
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (3, 0), (1, 0, 1), (1, 1, 0)])
+def test_fused_sum_matches_products_on_long_signatures(shape):
+    # the 0 in shape stands for k; reference.json stops at total length 8
+    engine, memo = FaceCountEngine(), {}
+    for k in range(1, 61):
+        f_by_products(tuple(m or k for m in shape), memo)
+    for node, f in memo.items():
+        assert engine.f_polynomial(Signature(node)) == f, node
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_fused_sum_matches_products_on_many_levels(n):
+    sig = Signature((1,) * n)
+    assert FaceCountEngine().f_polynomial(sig) == f_by_products(sig.mults, {})
+
+
+@pytest.mark.parametrize("mults, reached", [
+    ((2, 2400), 16_008_644), ((1,) * 14, 16_014_509), ((3, 3000), 16_017_846)])
+def test_budget_error_reports_work_units(mults, reached):
+    with pytest.raises(ResourceLimitError,
+                       match=rf"MAX_ENGINE_WORK=16000000, {reached} work units reached$"):
+        FaceCountEngine().f_polynomial(Signature(mults))
+
+
+def test_thirteen_levels_fit_the_budget():
+    f = FaceCountEngine().f_polynomial(Signature((1,) * 13))
+    assert f.degree == 78 and f.evaluate(-1) == 1
 
 
 def test_engine_matches_reference_table_up_to_s8():
@@ -126,7 +206,7 @@ def test_cube_children_rejects_single_level():
     with pytest.raises(ValueError):
         cube_children(Signature((5,)))
     with pytest.raises(ValueError):
-        transfer_children(Signature((5,)))
+        transfer_children((5,))
     with pytest.raises(ValueError):
         fiber_child(Signature((2,)), ())
 
