@@ -102,7 +102,8 @@ def _resolve_signature(args: argparse.Namespace) -> tuple[dict[str, str], Signat
 def _check_k(k: int) -> None:
     if k > families.MAX_K:
         raise ResourceLimitError(
-            f"k={k} exceeds family budget MAX_K={families.MAX_K}")
+            f"k={k} exceeds family budget MAX_K={families.MAX_K}",
+            "MAX_K", families.MAX_K, k)
 
 
 def _parse_k_spec(spec: str) -> range:
@@ -214,7 +215,8 @@ def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
         raise ParseError("--max-s must be >= 1")
     if args.max_s > lattice.MAX_S:
         raise ResourceLimitError(
-            f"--max-s {args.max_s} exceeds oracle budget MAX_S={lattice.MAX_S}")
+            f"--max-s {args.max_s} exceeds oracle budget MAX_S={lattice.MAX_S}",
+            "MAX_S", lattice.MAX_S, args.max_s)
     results: list[tuple[str, checks.CheckResult]] = []
     chatty = not args.json
 

@@ -54,7 +54,15 @@ _STEP_WORK = 16
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation would exceed one of its work budgets."""
+    """A computation would exceed one of its work budgets: ``budget`` names
+    the budget constant, ``limit`` is its value and ``reached`` how far the
+    run got, in the budget's units."""
+
+    def __init__(self, message: str, budget: str, limit: int, reached: int) -> None:
+        super().__init__(message)
+        self.budget = budget
+        self.limit = limit
+        self.reached = reached
 
 
 class Pick(Enum):
@@ -204,7 +212,8 @@ class FaceCountEngine:
             if used > MAX_ENGINE_WORK:
                 raise ResourceLimitError(
                     f"{root}: over engine budget MAX_ENGINE_WORK="
-                    f"{MAX_ENGINE_WORK}, {used} work units reached")
+                    f"{MAX_ENGINE_WORK}, {used} work units reached",
+                    "MAX_ENGINE_WORK", MAX_ENGINE_WORK, used)
 
         cache = self._cache
         grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}

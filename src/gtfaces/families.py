@@ -30,10 +30,11 @@ from .engine import simplex_f_polynomial
 from .poly import IntPoly, SeriesRational, z_mul
 from .signatures import Signature
 
-# largest family parameter the CLI accepts.  `gf --family 123k --kmax MAX_K`,
-# which forms every closed form up to MAX_K, takes about 2.2 s on a 2-core
-# Xeon with Python 3.11.
-MAX_K = 180
+# largest family parameter the CLI accepts, sized so that the slowest command
+# it admits takes about 15 s: on a shared 2-core Xeon with Python 3.11,
+# `family --family 123k|223k --k 0:MAX_K --check` takes 15.0-15.6 s and
+# `gf --family 123k|223k --kmax MAX_K` 9.2-10.5 s.  Cost grows about as k^3.
+MAX_K = 300
 
 
 class Family(str, Enum):

@@ -9,17 +9,20 @@ such free chains is the dimension of the solution space of the tight
 constraints (the De Loera-McAllister tiling criterion).  A vertex has no
 free chain, so every cell equals a top value and a depth-first search over
 integer tables finds all vertices.  Faces are the closures of constraint
-tight sets under intersection, identified by their vertex sets; a face's
-dimension is the free-chain count of the constraints tight on all of its
-vertices.  Both uses are checked against exact integer rank, on every
-table the oracle accepts, in ``tests/test_lattice.py``.
+tight sets under intersection, identified by their vertex sets (the
+vertex-facet incidence closure of Kaibel and Pfetsch); the pass that closes
+a face also records, as a constraint bitmask, the constraints tight on all
+of its vertices, and the face's dimension is their free-chain count.  Both
+uses of the count are checked against exact integer rank, on every table
+the oracle accepts, in ``tests/test_lattice.py``, which also checks the
+whole lattice against a plainer two-pass closure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
 from .signatures import Signature
@@ -45,6 +48,9 @@ class TriangularTable:
     top: tuple[int, ...]
     cells: tuple[tuple[int, int], ...]
     constraints: tuple[tuple[int, int], ...]  # (lo, hi) meaning value(lo) <= value(hi)
+    # per constraint, its endpoints as union-find nodes: 0 for the whole top
+    # row, 1 + i for cell i
+    edges: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_signature(cls, sig: Signature) -> "TriangularTable":
@@ -57,7 +63,8 @@ class TriangularTable:
         for (r, c) in cells:
             constraints.append((node[(r - 1, c)], node[(r, c)]))
             constraints.append((node[(r, c)], node[(r - 1, c + 1)]))
-        return cls(s, top, tuple(cells), tuple(constraints))
+        edges = tuple((max(lo - s + 1, 0), max(hi - s + 1, 0)) for lo, hi in constraints)
+        return cls(s, top, tuple(cells), tuple(constraints), edges)
 
 
 @dataclass(frozen=True)
@@ -74,23 +81,28 @@ class FaceLattice:
     f_vector: tuple[int, ...]
 
 
-def _free_chains(table: TriangularTable, tight: Iterable[tuple[int, int]]) -> int:
-    """Number of cell components, joined by the ``tight`` constraints held
-    with equality, that reach no top entry: the dimension of the solution
-    space of those equalities."""
-    s = table.s
-    # the whole top row starts as one component rooted at node 0
-    parent = [0] * s + list(range(s, s + len(table.cells)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for lo, hi in tight:
-        parent[find(lo)] = find(hi)
-    return len({find(x) for x in range(s, len(parent))} - {find(0)})
+def _free_chains(table: TriangularTable, tight: int) -> int:
+    """Number of cell components, joined by the constraints held with
+    equality, that reach no top entry: the dimension of the solution space
+    of those equalities.  ``tight`` is a constraint bitmask (bit j for
+    ``table.constraints[j]``).  A union-find over ``table.edges`` starts
+    from one node per cell plus node 0 for the whole top row; each merge
+    removes one component, so the free chains are cells - merges."""
+    parent = list(range(len(table.cells) + 1))
+    edges = table.edges
+    merges = 0
+    while tight:
+        low = tight & -tight
+        tight ^= low
+        a, b = edges[low.bit_length() - 1]
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return len(table.cells) - merges
 
 
 def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
@@ -99,28 +111,32 @@ def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
     The DFS ranges each cell over the integers between its two upper
     neighbours, so every candidate already satisfies all constraints; a
     candidate is a vertex iff its tight constraints leave no free chain.
-    Since a vertex is integral, this enumeration is exhaustive.
+    Cell i fixes whether its constraints 2i and 2i+1 are tight, so the
+    tight bitmask grows along the DFS.  Since a vertex is integral, this
+    enumeration is exhaustive.
     """
     if sig.s > MAX_S:
         raise ResourceLimitError(
-            f"{sig.mults}: total length {sig.s} exceeds oracle budget MAX_S={MAX_S}")
+            f"{sig.mults}: total length {sig.s} exceeds oracle budget MAX_S={MAX_S}",
+            "MAX_S", MAX_S, sig.s)
     table = TriangularTable.from_signature(sig)
     s, ncells = table.s, len(table.cells)
     constraints = table.constraints
     values = list(table.top) + [0] * ncells
     out: list[tuple[int, ...]] = []
 
-    def dfs(i: int) -> None:
+    def dfs(i: int, tight: int) -> None:
         if i == ncells:
-            if _free_chains(table, [c for c in constraints
-                                    if values[c[0]] == values[c[1]]]) == 0:
+            if _free_chains(table, tight) == 0:
                 out.append(tuple(values[s:]))
             return
-        for v in range(values[constraints[2 * i][0]], values[constraints[2 * i + 1][1]] + 1):
+        lo = values[constraints[2 * i][0]]
+        hi = values[constraints[2 * i + 1][1]]
+        for v in range(lo, hi + 1):
             values[s + i] = v
-            dfs(i + 1)
+            dfs(i + 1, tight | (v == lo) << 2 * i | (v == hi) << 2 * i + 1)
 
-    dfs(0)
+    dfs(0, 0)
     return out
 
 
@@ -138,41 +154,39 @@ def face_lattice(sig: Signature) -> FaceLattice:
     Every facet appears among the constraint tight sets, every face is an
     intersection of facets, and intersections of faces are faces; closing
     the tight sets under intersection therefore enumerates exactly the
-    faces, each identified by its vertex bitmask.  A face's affine hull is
-    cut out by the constraints tight on all of its vertices, so its
-    dimension is their free-chain count.
+    faces, each identified by its vertex bitmask.  The pass that intersects
+    a face with every constraint's tight set also finds the constraints
+    tight on all of its vertices, which cut out its affine hull, so the
+    face's dimension is their free-chain count.
     """
     vertices = enumerate_vertices(sig)
     table = TriangularTable.from_signature(sig)
-    n = len(vertices)
-    full = (1 << n) - 1
-    masks = _tight_masks(table, vertices)
-    seen = {full}
+    full = (1 << len(vertices)) - 1
+    masks = [(t, 1 << j) for j, t in enumerate(_tight_masks(table, vertices))]
+    tight_on = {full: 0}  # face vertex mask -> its constraint bitmask
     stack = [full]
     while stack:
         fmask = stack.pop()
-        for t in masks:
+        tight = 0
+        for t, bit in masks:
             g = fmask & t
-            if g and g != fmask and g not in seen:
-                seen.add(g)
+            if g == fmask:
+                tight |= bit
+            elif g and g not in tight_on:
+                tight_on[g] = 0
                 stack.append(g)
-    faces: list[Face] = []
-    for fmask in seen:
+        tight_on[fmask] = tight
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for fmask, tight in tight_on.items():
         idxs = []
-        m = fmask
-        while m:
-            low = m & -m
+        while fmask:
+            low = fmask & -fmask
             idxs.append(low.bit_length() - 1)
-            m ^= low
-        dim = _free_chains(table, (c for c, t in zip(table.constraints, masks)
-                                   if t & fmask == fmask))
-        faces.append(Face(tuple(idxs), dim))
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    top_dim = faces[-1].dim
-    f_vector = [0] * (top_dim + 1)
-    for face in faces:
-        f_vector[face.dim] += 1
-    return FaceLattice(sig, tuple(vertices), tuple(faces), tuple(f_vector))
+            fmask ^= low
+        by_dim.setdefault(_free_chains(table, tight), []).append(tuple(idxs))
+    faces = [Face(idxs, dim) for dim in sorted(by_dim) for idxs in sorted(by_dim[dim])]
+    f_vector = tuple(len(by_dim.get(dim, ())) for dim in range(max(by_dim) + 1))
+    return FaceLattice(sig, tuple(vertices), tuple(faces), f_vector)
 
 
 def tracked_cells(sig: Signature) -> tuple[int, ...]:

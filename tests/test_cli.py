@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from gtfaces import cli
 from gtfaces.cli import main
+from gtfaces.engine import ResourceLimitError
 from gtfaces.families import MAX_K
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -235,6 +238,18 @@ def test_failed_run_leaves_out_file_untouched(argv, code, tmp_path, capsys):
     assert main([*argv, "--out", str(target)]) == code
     capsys.readouterr()
     assert target.read_text() == "earlier output\n"
+
+
+def test_budget_errors_carry_their_numbers():
+    with pytest.raises(ResourceLimitError) as info:
+        cli._check_k(MAX_K + 1)
+    exc = info.value
+    assert (exc.budget, exc.limit, exc.reached) == ("MAX_K", MAX_K, MAX_K + 1)
+    args = cli.build_parser().parse_args(["verify", "--max-s", "6"])
+    with pytest.raises(ResourceLimitError) as info:
+        args.func(args, io.StringIO())
+    exc = info.value
+    assert (exc.budget, exc.limit, exc.reached) == ("MAX_S", 5, 6)
 
 
 def test_quiet_human(capsys):

@@ -164,8 +164,10 @@ def test_fused_sum_matches_products_on_many_levels(n):
     ((2, 2400), 16_008_644), ((1,) * 14, 16_014_509), ((3, 3000), 16_017_846)])
 def test_budget_error_reports_work_units(mults, reached):
     with pytest.raises(ResourceLimitError,
-                       match=rf"MAX_ENGINE_WORK=16000000, {reached} work units reached$"):
+                       match=rf"MAX_ENGINE_WORK=16000000, {reached} work units reached$") as info:
         FaceCountEngine().f_polynomial(Signature(mults))
+    exc = info.value
+    assert (exc.budget, exc.limit, exc.reached) == ("MAX_ENGINE_WORK", 16_000_000, reached)
 
 
 def test_thirteen_levels_fit_the_budget():

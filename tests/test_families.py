@@ -79,7 +79,7 @@ def test_f_12k3_examples():
     assert f_12k3(5) == h_12k3(5).shift(1)
 
 
-@pytest.mark.parametrize("k", [*range(9), 60, MAX_K])
+@pytest.mark.parametrize("k", [*range(9), 60, 180, MAX_K])
 def test_f_12k3_equals_shifted_h(k):
     assert f_12k3(k) == h_12k3(k).shift(1)
 
@@ -124,7 +124,7 @@ def test_coupled_families_match_engine(k):
     assert h_223k(k) == h_polynomial(family_signature(Family.GZ_223K, k))
 
 
-@pytest.mark.parametrize("k", [*range(13), 60, MAX_K])
+@pytest.mark.parametrize("k", [*range(13), 60, 180, MAX_K])
 def test_h_pair_matrix_matches_formulas(k):
     pair = h_pair_matrix(k)
     assert pair.h_123k == h_123k(k)

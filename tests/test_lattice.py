@@ -2,12 +2,21 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtfaces import checks, lattice
-from gtfaces.lattice import (ResourceLimitError, TriangularTable, _free_chains,
-                             enumerate_vertices, face_lattice,
-                             fiber_decomposition_check, tracked_cells)
+from gtfaces.lattice import (Face, FaceLattice, ResourceLimitError, TriangularTable,
+                             _free_chains, _tight_masks, enumerate_vertices,
+                             face_lattice, fiber_decomposition_check, tracked_cells)
 from gtfaces.signatures import Signature, dimension, iter_signatures
+
+ORACLE_SIGNATURES = list(checks.signatures_up_to(5)) + [
+    Signature(m) for m in [(1, 5), (2, 4), (3, 3)]]
+
+
+def _sig_id(sig):
+    return ",".join(map(str, sig.mults))
 
 
 # exact integer rank: the reference for the oracle's free-chain counts
@@ -89,6 +98,57 @@ def _integer_points(table):
     return walk(0)
 
 
+# a plainer oracle, the reference for the bitmask path: vertices by a
+# pair-list union-find over every integer point, a set of face vertex masks
+# closed under intersection, then per face a second pass for its tight
+# constraints, the pair-list union-find and one sort by (dim, indices)
+
+def _reference_free_chains(table, tight):
+    s = table.s
+    parent = [0] * s + list(range(s, s + len(table.cells)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for lo, hi in tight:
+        parent[find(lo)] = find(hi)
+    return len({find(x) for x in range(s, len(parent))} - {find(0)})
+
+
+def _reference_face_lattice(sig):
+    table = TriangularTable.from_signature(sig)
+    vertices = []
+    for p in _integer_points(table):
+        if _reference_free_chains(table, [c for c in table.constraints
+                                          if p[c[0]] == p[c[1]]]) == 0:
+            vertices.append(p[table.s:])
+    full = (1 << len(vertices)) - 1
+    masks = _tight_masks(table, vertices)
+    seen = {full}
+    stack = [full]
+    while stack:
+        fmask = stack.pop()
+        for t in masks:
+            g = fmask & t
+            if g and g != fmask and g not in seen:
+                seen.add(g)
+                stack.append(g)
+    faces = []
+    for fmask in seen:
+        idxs = tuple(i for i in range(len(vertices)) if fmask >> i & 1)
+        dim = _reference_free_chains(table, (c for c, t in zip(table.constraints, masks)
+                                             if t & fmask == fmask))
+        faces.append(Face(idxs, dim))
+    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+    f_vector = [0] * (faces[-1].dim + 1)
+    for face in faces:
+        f_vector[face.dim] += 1
+    return FaceLattice(sig, tuple(vertices), tuple(faces), tuple(f_vector))
+
+
 def test_table_shape():
     for mults in [(1, 1), (1, 1, 1), (1, 3, 1), (2, 3)]:
         sig = Signature(mults)
@@ -151,9 +211,35 @@ def test_oracle_agrees_with_engine_s6_spots(monkeypatch):
     assert ok, detail
 
 
-@pytest.mark.parametrize(
-    "sig", list(checks.signatures_up_to(5)) + [Signature(m) for m in [(1, 5), (2, 4), (3, 3)]],
-    ids=lambda sig: ",".join(map(str, sig.mults)))
+@pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=_sig_id)
+def test_face_lattice_matches_reference_closure(sig, monkeypatch):
+    # the one-pass bitmask closure against the plainer reference: the same
+    # vertices, the same faces in the same order, the same f-vector
+    if sig.s > lattice.MAX_S:
+        monkeypatch.setattr(lattice, "MAX_S", 6)
+    assert face_lattice(sig) == _reference_face_lattice(sig)
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_free_chains_match_reference_on_every_subset(s):
+    for sig in iter_signatures(s):
+        table = TriangularTable.from_signature(sig)
+        for tight in range(1 << len(table.constraints)):
+            pairs = [c for j, c in enumerate(table.constraints) if tight >> j & 1]
+            assert _free_chains(table, tight) == _reference_free_chains(table, pairs), \
+                (sig.mults, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*iter_signatures(5), *iter_signatures(6)]), st.data())
+def test_free_chains_match_reference_on_drawn_subsets(sig, data):
+    table = TriangularTable.from_signature(sig)
+    tight = data.draw(st.integers(0, (1 << len(table.constraints)) - 1))
+    pairs = [c for j, c in enumerate(table.constraints) if tight >> j & 1]
+    assert _free_chains(table, tight) == _reference_free_chains(table, pairs)
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=_sig_id)
 def test_free_chains_match_exact_rank(sig, monkeypatch):
     # the oracle's one dimension routine against exact integer rank: on every
     # table the oracle accepts (all s <= 5), and on three s = 6 tables
@@ -165,7 +251,8 @@ def test_free_chains_match_exact_rank(sig, monkeypatch):
     vertices = []
     for p in _integer_points(table):
         rank = _active_rank(p, table)
-        tight = [c for c in table.constraints if p[c[0]] == p[c[1]]]
+        tight = sum(1 << j for j, (lo, hi) in enumerate(table.constraints)
+                    if p[lo] == p[hi])
         assert _free_chains(table, tight) == ncells - rank, p
         if rank == ncells:
             vertices.append(p[s:])
@@ -199,8 +286,6 @@ def test_lattice_sanity(s):
 def test_closure_idempotence(s):
     # every face is the intersection of the tight sets of the constraints
     # tight on all of its vertices
-    from gtfaces.lattice import _tight_masks
-
     for sig in iter_signatures(s):
         lat = face_lattice(sig)
         table = TriangularTable.from_signature(sig)
@@ -257,8 +342,10 @@ def test_fiber_decomposition_trivial_for_one_level():
 
 def test_resource_limits(monkeypatch):
     # each message names the signature and the budget constant
-    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*MAX_S=5"):
+    with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1, 1, 1, 1\).*MAX_S=5") as info:
         enumerate_vertices(Signature((1,) * 7))
+    exc = info.value
+    assert (exc.budget, exc.limit, exc.reached) == ("MAX_S", 5, 7)
     monkeypatch.setattr(lattice, "MAX_S", 3)
     with pytest.raises(ResourceLimitError, match=r"\(1, 1, 1, 1\).*MAX_S=3"):
         face_lattice(Signature((1, 1, 1, 1)))
