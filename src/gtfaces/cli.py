@@ -317,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # with --out, the output is collected first and the file is written only
     # once the command has run, so an error leaves an existing file as it was
     buffer = io.StringIO()
-    out: io.TextIOBase = buffer if args.out else sys.stdout
+    out: io.TextIOBase = buffer if args.out is not None else sys.stdout
     try:
         code = args.func(args, out)
     except ParseError as exc:
@@ -326,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"gtfaces: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(buffer.getvalue())

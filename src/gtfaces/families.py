@@ -20,7 +20,6 @@ computation stays inside integer-coefficient polynomials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -248,19 +247,3 @@ def family_h(family: Family | str, k: int) -> IntPoly:
         return h_123k(k)
     return h_223k(k)
 
-
-def phi_root_form_value(k: int, s: float) -> float:
-    """Floating-point phi(k)(s) from the characteristic roots.
-
-    The roots of x^2 - (s^2+s) x + s^2 are s * (s + 1 +- sqrt(s^2+2s-3))/2,
-    so the two-term solution carries a factor s^(k-1) in front of the
-    half-root powers; valid for s > 1.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return 0.0
-    disc = math.sqrt(s * s + 2 * s - 3)
-    lam_plus = (s + 1 + disc) / 2
-    lam_minus = (s + 1 - disc) / 2
-    return s ** (k - 1) * (lam_plus ** k - lam_minus ** k) / disc

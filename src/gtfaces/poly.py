@@ -64,8 +64,6 @@ class IntPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (() if other == 0 else (other,))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -74,9 +72,7 @@ class IntPoly:
     def __neg__(self) -> "IntPoly":
         return IntPoly._of_ints([-c for c in self.coeffs])
 
-    def __add__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly([other])
+    def __add__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -87,21 +83,15 @@ class IntPoly:
             out[i] += c
         return IntPoly._of_ints(out)
 
+    # __radd__ and __rmul__ stay because perfbench/worker.py patches them here
     __radd__ = __add__
 
-    def __sub__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly([other])
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "IntPoly | int") -> "IntPoly":
-        return (-self) + other
-
-    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly._of_ints([c * other for c in self.coeffs])
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -115,19 +105,6 @@ class IntPoly:
         return IntPoly._of_ints(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def evaluate(self, x: int) -> int:
         """Exact Horner evaluation at an integer point."""
@@ -183,7 +160,7 @@ class SeriesRational:
     denominator: tuple[IntPoly, ...]
 
     def __post_init__(self) -> None:
-        if not self.denominator or self.denominator[0] != 1:
+        if not self.denominator or self.denominator[0] != IntPoly([1]):
             raise ValueError("denominator at z=0 must be the constant 1")
 
 

@@ -4,8 +4,8 @@ A nondecreasing sequence of integers or half-integers determines a
 Gelfand-Tsetlin polytope up to combinatorial equivalence through the run
 lengths of its equal values alone: any relabeling that preserves order and
 equality gives the same face lattice, and reversing the order does too.
-``Signature`` is the canonical run-length form, ``reverse_normal_form``
-folds the reversal symmetry.
+``Signature`` is the canonical run-length form; the engine folds the
+reversal symmetry through its ``min(m, m[::-1])`` key.
 """
 
 from __future__ import annotations
@@ -114,16 +114,6 @@ def parse_signature(text: str) -> Signature:
 def canonicalize(seq: LevelSequence) -> Signature:
     """Run lengths of equal values; the values themselves are forgotten."""
     return Signature(tuple(sum(1 for _ in grp) for _, grp in groupby(seq.values)))
-
-
-def reverse_normal_form(sig: Signature) -> Signature:
-    """Lexicographic minimum of the signature and its reversal.
-
-    Reversing the level order gives a combinatorially equivalent polytope,
-    so this is a sound cache key and halves memoization tables.
-    """
-    rev = sig.mults[::-1]
-    return Signature(min(sig.mults, rev))
 
 
 def dimension(sig: Signature) -> int:

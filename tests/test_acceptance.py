@@ -9,11 +9,12 @@ import time
 from gtfaces import checks
 from gtfaces.engine import f_polynomial, h_polynomial
 from gtfaces.families import (Family, HPair, f_12k3, generating_function,
-                              h_12k3, h_123k, h_223k, h_pair_matrix, phi,
-                              phi_root_form_value)
+                              h_12k3, h_123k, h_223k, h_pair_matrix, phi)
 from gtfaces.lattice import face_lattice
 from gtfaces.poly import series_coeffs
 from gtfaces.signatures import Signature
+
+from test_families import phi_root_form_value
 
 
 def _report(num, ok, detail):

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 from gtfaces.engine import h_polynomial, simplex_f_polynomial
 from gtfaces.families import (MAX_K, Family, _system_matrix_power, f_12k3,
                               family_h, family_signature, generating_function,
                               geometric, h_12k3, h_123k, h_223k, h_pair_matrix,
-                              phi, phi_root_form_value)
+                              phi)
 from gtfaces.poly import IntPoly, series_coeffs
 from gtfaces.signatures import dimension
 
@@ -26,6 +28,23 @@ def test_phi_recurrence_and_degree():
         assert phi(k + 1) == b * phi(k) + a * phi(k - 1)
         assert phi(k).degree == 2 * k - 2
         assert phi(k).evaluate(1) == k
+
+
+def phi_root_form_value(k: int, s: float) -> float:
+    """Floating-point phi(k)(s) from the characteristic roots.
+
+    The roots of x^2 - (s^2+s) x + s^2 are s * (s + 1 +- sqrt(s^2+2s-3))/2,
+    so the two-term solution carries a factor s^(k-1) in front of the
+    half-root powers; valid for s > 1.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return 0.0
+    disc = math.sqrt(s * s + 2 * s - 3)
+    lam_plus = (s + 1 + disc) / 2
+    lam_minus = (s + 1 - disc) / 2
+    return s ** (k - 1) * (lam_plus ** k - lam_minus ** k) / disc
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -87,12 +106,14 @@ def test_f_12k3_equals_shifted_h(k):
 def test_f_12k3_equals_dense_unrolled_sum():
     # the docstring's unrolled sum, each power of (1+t) formed densely, is
     # the reference for the Horner form
-    one_plus_t = IntPoly([1, 1])
+    def one_plus_t_pow(n):
+        return IntPoly([math.comb(n, i) for i in range(n + 1)])
+
     for k in range(40):
-        dense = one_plus_t ** (2 * k) * IntPoly([2, 1])
+        dense = one_plus_t_pow(2 * k) * IntPoly([2, 1])
         for j in range(1, k + 1):
             term = IntPoly([2, 2]) * simplex_f_polynomial(j) + IntPoly([1])
-            dense = dense + one_plus_t ** (2 * (k - j)) * term
+            dense = dense + one_plus_t_pow(2 * (k - j)) * term
         assert f_12k3(k) == dense, k
 
 

@@ -34,17 +34,15 @@ def test_mul_examples():
 
 
 def test_scalar_ops():
-    assert (IntPoly([1, 2]) * 3).coeffs == (3, 6)
-    assert (2 * IntPoly([1, 2])).coeffs == (2, 4)
-    assert (IntPoly([1, 2]) + 1).coeffs == (2, 2)
+    # scalars are constant polynomials; a bare int is not an operand
+    assert (IntPoly([1, 2]) * IntPoly([3])).coeffs == (3, 6)
+    assert (IntPoly([2]) * IntPoly([1, 2])).coeffs == (2, 4)
+    assert (IntPoly([1, 2]) + IntPoly([1])).coeffs == (2, 2)
     assert (IntPoly([1, 2]) - IntPoly([1])).coeffs == (0, 2)
-
-
-def test_pow():
-    assert (IntPoly([1, 1]) ** 4).coeffs == tuple(math.comb(4, i) for i in range(5))
-    assert (IntPoly([0, 1]) ** 0).coeffs == (1,)
-    with pytest.raises(ValueError):
-        IntPoly([1, 1]) ** -1
+    for bad in (lambda p: p + 1, lambda p: 2 * p, lambda p: p - 1, lambda p: p ** 2):
+        with pytest.raises(TypeError):
+            bad(IntPoly([1, 2]))
+    assert IntPoly([1]) != 1 and IntPoly() != 0
 
 
 def test_shift_examples():

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from gtfaces.signatures import (LevelSequence, ParseError, Signature,
                                 canonicalize, dimension, iter_signatures,
-                                parse_level_sequence, parse_signature,
-                                reverse_normal_form)
+                                parse_level_sequence, parse_signature)
 
 signatures = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
     lambda m: Signature(tuple(m)))
@@ -59,12 +58,6 @@ def test_canonicalize_examples():
     assert canonicalize(parse_level_sequence("5,5,5")).mults == (3,)
 
 
-def test_reverse_normal_form_examples():
-    assert reverse_normal_form(Signature((1, 3, 1))).mults == (1, 3, 1)
-    assert reverse_normal_form(Signature((2, 1))).mults == (1, 2)
-    assert reverse_normal_form(Signature((1, 1, 3))).mults == (1, 1, 3)
-
-
 def test_dimension_examples():
     assert dimension(Signature((1, 1, 1))) == 3
     assert dimension(Signature((1, 5, 1))) == 11
@@ -85,13 +78,6 @@ def test_canonicalize_scale_invariant(vals):
     seq = LevelSequence(tuple(Fraction(v) for v in vals))
     doubled = LevelSequence(tuple(2 * Fraction(v) for v in vals))
     assert canonicalize(seq) == canonicalize(doubled)
-
-
-@given(signatures)
-def test_reverse_normal_form_idempotent(sig):
-    once = reverse_normal_form(sig)
-    assert reverse_normal_form(once) == once
-    assert reverse_normal_form(sig.reversed()) == once
 
 
 @given(signatures)
