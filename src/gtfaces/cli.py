@@ -331,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(buffer.getvalue())
         except OSError as exc:
-            print(f"gtfaces: error: cannot write {args.out}: {exc.strerror}",
+            print(f"gtfaces: error: cannot write {args.out!r}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_USAGE
     return code

@@ -16,6 +16,10 @@ which supplies the entries of powers of the system matrix and the kernel of
 both rational generating functions.  All divisions by (s - 1) or t that
 appear in derivations are replaced by explicit geometric sums, so every
 computation stays inside integer-coefficient polynomials.
+
+``phi`` is a grow-only memo that importing the module leaves at its two
+seed values.  Products by geometric sums or by powers of s are
+sliding-window sums or shifted slice adds, never dense products.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 
 from .engine import simplex_f_polynomial
 from .poly import IntPoly, SeriesRational, z_mul
 from .signatures import Signature
 
-# largest family parameter the CLI accepts, sized so that the slowest command
-# it admits takes about 15 s: on a shared 2-core Xeon with Python 3.11,
-# `family --family 123k|223k --k 0:MAX_K --check` takes 15.0-15.6 s and
-# `gf --family 123k|223k --kmax MAX_K` 9.2-10.5 s.  Cost grows about as k^3.
+# largest family parameter the CLI accepts, sized when the slowest command it
+# admits took about 15 s.  On a shared 2-core Xeon with Python 3.11,
+# `family --family 123k|223k --k 0:MAX_K --check` takes 4.9-9.7 s, `12k3`
+# 4.0-4.4 s, and `gf --family 123k|223k --kmax MAX_K` 3.1-6.3 s.  Cost grows
+# about as k^3.
 MAX_K = 300
 
 
@@ -61,13 +66,6 @@ class PhiSequence:
 
 
 phi = PhiSequence()
-
-
-def geometric(n: int) -> IntPoly:
-    """1 + s + ... + s^n, the expanded form of (s^(n+1) - 1)/(s - 1)."""
-    if n < 0:
-        raise ValueError("geometric sum needs n >= 0")
-    return IntPoly([1] * (n + 1))
 
 
 def h_12k3(k: int) -> IntPoly:
@@ -134,13 +132,20 @@ def h_123k(k: int) -> IntPoly:
 
 def h_223k(k: int) -> IntPoly:
     """h-polynomial of the (2, k) family:
-    sum_{j=0..k} s^(j+2) * phi(k - j)  +  (1 + s + ... + s^k)."""
+    sum_{j=0..k} s^(j+2) * phi(k - j)  +  (1 + s + ... + s^k).
+
+    Each term is phi(k - j) added in place at offset j + 2: one pass over
+    its coefficients, where a monomial product and a sum take three."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = geometric(k)
+    out = [1] * (k + 1)
     for j in range(k + 1):
-        total = total + IntPoly.monomial(j + 2) * phi(k - j)
-    return total
+        p = phi(k - j).coeffs
+        lo, hi = j + 2, j + 2 + len(p)
+        if hi > len(out):
+            out += [0] * (hi - len(out))
+        out[lo:hi] = map(add, out[lo:hi], p)
+    return IntPoly._of_ints(out)
 
 
 @dataclass(frozen=True)
@@ -173,11 +178,13 @@ def _system_matrix_power(m: int) -> _Mat:
 def _times_geometric(p: IntPoly, n: int) -> IntPoly:
     """p * (1 + s + ... + s^n) as a sliding-window sum over p's
     coefficients: coefficient d is p_(d-n) + ... + p_d, O(deg p + n)."""
-    prefix = [0, *accumulate(p.coeffs)]
-    # upper[d] = prefix[min(d+1, len p)], lower[d] = prefix[max(d-n, 0)]
-    upper = prefix[1:] + [prefix[-1]] * n
-    lower = [0] * n + prefix[:-1]
-    return IntPoly(map(sub, upper, lower))
+    cum = list(accumulate(p.coeffs))
+    if not cum:
+        return p
+    # cum[min(d, deg p)], less cum[d-n-1] once the window has left index 0
+    out = cum + [cum[-1]] * n
+    out[n + 1:] = map(sub, out[n + 1:], cum)
+    return IntPoly._of_ints(out)
 
 
 def h_pair_matrix(k: int) -> HPair:

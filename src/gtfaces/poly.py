@@ -2,7 +2,10 @@
 
 ``IntPoly`` stores one univariate polynomial as a dense coefficient tuple
 (index = degree); the zero polynomial is the empty tuple, so the top
-coefficient of a nonzero polynomial is never zero.  ``SeriesRational``
+coefficient of a nonzero polynomial is never zero.  Its arithmetic works
+on whole coefficient slices through ``map`` and ``operator``, so the
+per-coefficient loops run in C; ``tests/test_poly.py`` keeps the
+schoolbook loops as references.  ``SeriesRational``
 expands rational functions in z whose coefficients are themselves
 polynomials in a second variable, which is all the generating-function
 machinery here needs.
@@ -11,6 +14,8 @@ machinery here needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, mul, neg, sub
 from operator import index as _as_int
 from typing import Iterable, Sequence
 
@@ -70,7 +75,7 @@ class IntPoly:
         return hash(("IntPoly", self.coeffs))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly._of_ints([-c for c in self.coeffs])
+        return IntPoly._of_ints(list(map(neg, self.coeffs)))
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
@@ -78,9 +83,8 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = list(map(add, a, b))
+        out += a[len(b):]
         return IntPoly._of_ints(out)
 
     # __radd__ and __rmul__ stay because perfbench/worker.py patches them here
@@ -89,19 +93,30 @@ class IntPoly:
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(map(sub, a, b))
+        n = len(out)
+        if len(a) > n:
+            out += a[n:]
+        else:
+            out += map(neg, b[n:])
+        return IntPoly._of_ints(out)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
+        """Product, one slice update per nonzero coefficient of the operand
+        with fewer of them, so a monomial or (1+t)^2 factor costs one to
+        three passes over the other operand."""
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        n = len(b)
+        out = [0] * (len(a) + n - 1)
+        for i, ai in compress(enumerate(a), a):
+            out[i:i + n] = map(add, out[i:i + n], map(mul, b, repeat(ai)))
         return IntPoly._of_ints(out)
 
     __rmul__ = __mul__
@@ -117,16 +132,17 @@ class IntPoly:
         """Return g with g(x) = self(x + c), expanded exactly.
 
         Horner in the polynomial ring: feed coefficients top-down into
-        repeated multiplication by (x + c).
+        repeated multiplication by (x + c), one whole-list update per
+        coefficient; for c = +-1 (h <-> f) the update is a bare add or sub.
         """
+        op = add if c >= 0 else sub
+        step = abs(c)
         res: list[int] = []
         for a in reversed(self.coeffs):
-            nxt = [0] * (len(res) + 1)
-            for d, r in enumerate(res):
-                nxt[d + 1] += r
-                nxt[d] += r * c
-            nxt[0] += a
-            res = nxt
+            # res * (x + c) + a: coefficient d is res[d-1] + c res[d] (+ a at d = 0)
+            res.append(0)
+            times_c = res if step == 1 else map(mul, res, repeat(step))
+            res = list(map(op, [a, *res], times_c))
         return IntPoly._of_ints(res)
 
     def __repr__(self) -> str:

@@ -288,7 +288,7 @@ def test_thirteen_levels_fit_the_engine_budget(capsys, monkeypatch):
     (["verify", "--max-s", "6"], 3, "--max-s 6 exceeds oracle budget MAX_S=5"),
     (["f", "--signature", "1,2", "--out", "{tmp}/missing/x.json"], 2, "cannot write"),
     (["f", "--signature", "1,2", "--out", "{tmp}"], 2, "cannot write"),
-    (["f", "--signature", "1,2", "--quiet", "--out", ""], 2, "cannot write"),
+    (["f", "--signature", "1,2", "--quiet", "--out", ""], 2, "cannot write '':"),
     (["family", "--family", "12k3", "--k", "0:10000000000000"], 3, "MAX_K"),
     (["gf", "--family", "223k", "--kmax", str(MAX_K + 1)], 3, "MAX_K"),
     (["f", "--signature", "2,2400"], 3, "engine budget MAX_ENGINE_WORK="),

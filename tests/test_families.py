@@ -5,8 +5,7 @@ import pytest
 from gtfaces.engine import h_polynomial, simplex_f_polynomial
 from gtfaces.families import (MAX_K, Family, _system_matrix_power, f_12k3,
                               family_h, family_signature, generating_function,
-                              geometric, h_12k3, h_123k, h_223k, h_pair_matrix,
-                              phi)
+                              h_12k3, h_123k, h_223k, h_pair_matrix, phi)
 from gtfaces.poly import IntPoly, series_coeffs
 from gtfaces.signatures import dimension
 
@@ -54,6 +53,14 @@ def test_phi_root_form_spot_check(s):
         approx = phi_root_form_value(k, s)
         assert abs(approx - exact) <= 1e-9 * abs(exact)
     assert phi_root_form_value(0, 2) == 0.0
+
+
+def geometric(n: int) -> IntPoly:
+    """1 + s + ... + s^n, the expanded form of (s^(n+1) - 1)/(s - 1), for
+    the dense reference sums below."""
+    if n < 0:
+        raise ValueError("geometric sum needs n >= 0")
+    return IntPoly([1] * (n + 1))
 
 
 def test_geometric():
@@ -167,6 +174,16 @@ def test_h_pair_matrix_equals_dense_defining_sum():
             top, bot = top + inc_top, bot + inc_bot
         pair = h_pair_matrix(k)
         assert (pair.h_123k, pair.h_223k) == (top, bot), k
+
+
+def test_h_pair_matrix_in_any_call_order():
+    # called descending from MAX_K, then ascending, the matrix path must
+    # match the closed forms at every k, whatever phi already holds
+    ks = [MAX_K, 181, 180, 60, *range(13, -1, -1)]
+    want = {k: (h_123k(k), h_223k(k)) for k in ks}
+    for k in [*ks, *reversed(ks)]:
+        pair = h_pair_matrix(k)
+        assert (pair.h_123k, pair.h_223k) == want[k], k
 
 
 def test_h_pair_matrix_base_case():

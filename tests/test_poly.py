@@ -9,6 +9,74 @@ from gtfaces.poly import IntPoly, SeriesRational, series_coeffs, z_mul
 int_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
 
 
+# Schoolbook references, one Python step per coefficient pair: the kernels
+# in gtfaces.poly work on whole slices and must give the same tuples.
+
+def _strip(out):
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
+
+
+def schoolbook_sub(a, b):
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _strip(out)
+
+
+def schoolbook_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _strip(out)
+
+
+def schoolbook_shift(a, c):
+    res = []
+    for coeff in reversed(a):
+        nxt = [0] * (len(res) + 1)
+        for d, r in enumerate(res):
+            nxt[d + 1] += r
+            nxt[d] += r * c
+        nxt[0] += coeff
+        res = nxt
+    return _strip(res)
+
+
+coefficients = st.integers(-3, 3) | st.integers(-10 ** 40, 10 ** 40)
+dense_polys = st.lists(coefficients, max_size=12).map(IntPoly)
+# a few nonzero coefficients at scattered degrees, monomials among them
+sparse_polys = st.dictionaries(st.integers(0, 40), coefficients, max_size=3).map(
+    lambda d: IntPoly([d.get(i, 0) for i in range(max(d, default=-1) + 1)]))
+kernel_operands = st.one_of(dense_polys, sparse_polys, st.just(IntPoly()),
+                            st.integers(0, 40).map(IntPoly.monomial))
+
+
+@st.composite
+def cancelling_operands(draw):
+    """(a, b, c) with a + b and a - c cancelling a's top coefficients."""
+    top = draw(st.lists(coefficients.filter(bool), min_size=1, max_size=6))
+    n = draw(st.integers(0, 6))
+    low_a = draw(st.lists(coefficients, min_size=n, max_size=n))
+    low_b = draw(st.one_of(st.lists(coefficients, min_size=n, max_size=n),
+                           st.just([-x for x in low_a])))
+    return (IntPoly(low_a + top), IntPoly(low_b + [-x for x in top]),
+            IntPoly(low_b + top))
+
+
 def test_normalization_strips_trailing_zeros():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
@@ -70,6 +138,29 @@ def test_immutability():
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
     assert hash(p) == hash(IntPoly([1, 2]))
+
+
+@given(kernel_operands, kernel_operands)
+def test_kernels_match_schoolbook(a, b):
+    assert (a + b).coeffs == schoolbook_add(a.coeffs, b.coeffs)
+    assert (a - b).coeffs == schoolbook_sub(a.coeffs, b.coeffs)
+    assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+    assert (-a).coeffs == schoolbook_sub((), a.coeffs)
+
+
+@given(cancelling_operands())
+def test_kernels_strip_cancelled_leading_coefficients(operands):
+    a, b, c = operands
+    assert (a + b).coeffs == schoolbook_add(a.coeffs, b.coeffs)
+    assert (b + a).coeffs == schoolbook_add(b.coeffs, a.coeffs)
+    assert (a - c).coeffs == schoolbook_sub(a.coeffs, c.coeffs)
+    assert (c - a).coeffs == schoolbook_sub(c.coeffs, a.coeffs)
+    assert (a + b).degree < a.degree and (a - c).degree < a.degree
+
+
+@given(kernel_operands, st.integers(-3, 3) | st.integers(-10 ** 12, 10 ** 12))
+def test_shift_matches_schoolbook(f, c):
+    assert f.shift(c).coeffs == schoolbook_shift(f.coeffs, c)
 
 
 @given(int_polys, int_polys, int_polys)
