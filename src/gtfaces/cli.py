@@ -18,6 +18,7 @@ Exit codes:
      the engine budget (engine.MAX_ENGINE_WORK transfer steps and
      coefficient products per evaluation), or a family parameter above
      families.MAX_K
+  141  the reader closed stdout before the output ended (128 + SIGPIPE)
 
 With --json, ``family --k A:B`` prints a list, ``family --k K`` one object.
 """
@@ -28,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from typing import Any, Sequence
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _vector_strings(p: IntPoly, length: int) -> list[str]:
@@ -338,4 +341,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

@@ -217,6 +217,7 @@ class FaceCountEngine:
 
         cache = self._cache
         grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        size = {root: e2(root) + 1}  # coefficient counts, each computed once
         todo = [root]
         while todo:
             mults = todo.pop()
@@ -229,13 +230,14 @@ class FaceCountEngine:
             children = grouped[mults] = transfer_children(mults, spend)
             wb = _slot_width(len(mults))
             # one product per slot of a weight and coefficient of its child
-            spend(sum(((weight.bit_length() - 1) // wb + 1) * (e2(child) + 1)
+            spend(sum(((weight.bit_length() - 1) // wb + 1)
+                      * (size.get(child) or size.setdefault(child, e2(child) + 1))
                       for child, weight in children.items()))
             todo.extend(children)
         for mults in sorted(grouped, key=sum):
             wb = _slot_width(len(mults))
             mask = (1 << wb) - 1
-            acc = [0] * (e2(mults) + 1)
+            acc = [0] * size[mults]
             for child, weight in grouped[mults].items():
                 f = cache[child].coeffs
                 j = 0

@@ -8,18 +8,19 @@ Families are named after their level patterns:
 
 The 12k3 family has a scalar one-step recurrence with an explicit unrolled
 solution and a fully explicit h-vector.  The 123k and 223k families are
-coupled; their solution is driven by the polynomial sequence ``phi`` with
+coupled through the system matrix M = [[s^2+s-1, 1], [s-1, 1]], whose
+powers have entries built from the polynomial sequence ``phi`` with
 
     phi(0) = 0,  phi(1) = 1,  phi(k+1) = (s^2 + s) phi(k) - s^2 phi(k-1),
 
-which supplies the entries of powers of the system matrix and the kernel of
-both rational generating functions.  All divisions by (s - 1) or t that
-appear in derivations are replaced by explicit geometric sums, so every
-computation stays inside integer-coefficient polynomials.
+which also gives the per-k closed forms and the kernel of both rational
+generating functions; ``h_pair_matrix`` iterates M itself instead.
+Divisions by 1 - s are exact prefix sums, so every computation stays
+inside integer-coefficient polynomials.
 
 ``phi`` is a grow-only memo that importing the module leaves at its two
-seed values.  Products by geometric sums or by powers of s are
-sliding-window sums or shifted slice adds, never dense products.
+seed values.  Products by 1 + t, 1 - s^n or s^n are shifted slice adds on
+coefficient lists, never dense products.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from enum import Enum
 from itertools import accumulate
 from operator import add, sub
 
-from .engine import simplex_f_polynomial
 from .poly import IntPoly, SeriesRational, z_mul
 from .signatures import Signature
 
 # largest family parameter the CLI accepts, sized when the slowest command it
 # admits took about 15 s.  On a shared 2-core Xeon with Python 3.11,
-# `family --family 123k|223k --k 0:MAX_K --check` takes 4.9-9.7 s, `12k3`
-# 4.0-4.4 s, and `gf --family 123k|223k --kmax MAX_K` 3.1-6.3 s.  Cost grows
-# about as k^3.
+# `family --family 123k --k 0:MAX_K --check` takes 5.5-5.8 s, `223k`
+# 4.7-5.0 s, `12k3` 2.9-3.9 s, and `gf --family 123k|223k --kmax MAX_K`
+# 2.7-3.9 s.  Cost grows about as k^3.
 MAX_K = 300
 
 
@@ -99,35 +99,42 @@ def f_12k3(k: int) -> IntPoly:
     f_k = (1+t)^(2k) (2+t)
           + sum_{j=1..k} (1+t)^(2(k-j)) ((2+2t) * f_simplex_j + 1),
 
-    where f_simplex_j = ((1+t)^(j+1) - 1)/t expanded as binomials.
-
-    The sum is evaluated by Horner in (1+t)^2: A_0 = 2+t and
-    A_j = A_(j-1) (1+2t+t^2) + ((2+2t) f_simplex_j + 1), so f_k = A_k and
-    every product has a factor of at most three terms.
+    where f_simplex_j = ((1+t)^(j+1) - 1)/t.  Horner in (1+t)^2 from
+    A_0 = 2+t gives f_k = A_k with A_j = A_(j-1) (1+t)^2 + 2 S_(j+1) - 1,
+    since the term equals 2 S_(j+1) - 1 for S_i = f_simplex_i, and
+    S_1 = 2+t, S_i = (1+t) S_(i-1) + 1 builds S without binomials.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    one_plus_t_sq = IntPoly([1, 2, 1])
-    total = IntPoly([2, 1])
-    for j in range(1, k + 1):
-        term = IntPoly([2, 2]) * simplex_f_polynomial(j) + IntPoly([1])
-        total = total * one_plus_t_sq + term
-    return total
+    total = [2, 1]    # A_0
+    simplex = [2, 1]  # S_1
+    for _ in range(k):
+        simplex = list(map(add, [*simplex, 0], [1, *simplex]))  # (1+t) S + 1
+        total = list(map(add, [*total, 0], [0, *total]))
+        total = list(map(add, [*total, 0], [0, *total]))         # A (1+t)^2
+        n = len(simplex)
+        total[:n] = map(add, total[:n], map(add, simplex, simplex))
+        total[0] -= 1
+    return IntPoly._of_ints(total)
 
 
 def h_123k(k: int) -> IntPoly:
     """h-polynomial of the (1, 1, k) family:
     sum_{j=0..k} (1 + s + ... + s^(j+1)) * phi(k - j + 1).
 
-    Each term is a sliding-window sum over phi's coefficients, as in
-    ``h_pair_matrix``, so no dense product is formed.
+    Times (1 - s) the j-th term is phi(k - j + 1) (1 - s^(j+2)), so each
+    phi is added in place at offset 0 and subtracted at offset j + 2, and
+    one prefix sum divides the total by 1 - s.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = IntPoly()
+    out = [0] * (2 * k + 3)
     for j in range(k + 1):
-        total = total + _times_geometric(phi(k - j + 1), j + 1)
-    return total
+        p = phi(k - j + 1).coeffs
+        n = len(p)
+        out[:n] = map(add, out[:n], p)
+        out[j + 2:j + 2 + n] = map(sub, out[j + 2:j + 2 + n], p)
+    return IntPoly._of_ints(list(accumulate(out)))
 
 
 def h_223k(k: int) -> IntPoly:
@@ -156,57 +163,36 @@ class HPair:
     h_223k: IntPoly
 
 
-_Mat = tuple[IntPoly, IntPoly, IntPoly, IntPoly]  # row-major 2x2
-
-
-def _system_matrix_power(m: int) -> _Mat:
-    """m-th power of the coupled system's matrix [[s^2+s-1, 1], [s-1, 1]].
-
-    For m >= 1 the entries are phi combinations; m = 0 is the identity,
-    special-cased so no negative phi index is ever needed.
-    """
-    if m < 0:
-        raise ValueError("matrix power must be >= 0")
-    if m == 0:
-        return (IntPoly([1]), IntPoly(), IntPoly(), IntPoly([1]))
-    s_sq = IntPoly([0, 0, 1])
-    s_minus_1 = IntPoly([-1, 1])
-    return (phi(m + 1) - phi(m), phi(m),
-            s_minus_1 * phi(m), phi(m) - s_sq * phi(m - 1))
-
-
-def _times_geometric(p: IntPoly, n: int) -> IntPoly:
-    """p * (1 + s + ... + s^n) as a sliding-window sum over p's
-    coefficients: coefficient d is p_(d-n) + ... + p_d, O(deg p + n)."""
-    cum = list(accumulate(p.coeffs))
-    if not cum:
-        return p
-    # cum[min(d, deg p)], less cum[d-n-1] once the window has left index 0
-    out = cum + [cum[-1]] * n
-    out[n + 1:] = map(sub, out[n + 1:], cum)
-    return IntPoly._of_ints(out)
-
-
 def h_pair_matrix(k: int) -> HPair:
-    """Both coupled h-polynomials at once, through matrix powers:
+    """Both coupled h-polynomials at once, through the system matrix
+    M = [[s^2+s-1, 1], [s-1, 1]] and g_j = 1 + s + ... + s^j:
 
-    (h_123k, h_223k)^T = M^k (s+1, 1)^T + sum_{j=1..k} M^(k-j) ((s+1) g_j, g_j)^T
+    (h_123k, h_223k)^T = sum_{j=0..k} M^(k-j) ((s+1) g_j, g_j)^T.
 
-    with g_j = 1 + s + ... + s^j.  Must agree with h_123k / h_223k entrywise.
-
-    With g_0 = 1 the first term is the j = 0 term of the sum.  For
-    M^(k-j) = [[m0, m1], [m2, m3]] the j-th term is
-    ((m0 (s+1) + m1) g_j, (m2 (s+1) + m3) g_j); since s + 1 = g_1, both
-    factors are sliding-window sums, so no dense product is formed.
+    Horner on M itself, times 1 - s so that each g_j becomes 1 - s^(j+1):
+    T_j = M T_(j-1) + (1 - s)((s+1) g_j, g_j) from T_(-1) = 0, and the pair
+    is T_k / (1 - s), one prefix sum per component.  It reads no phi, so it
+    checks the closed forms h_123k / h_223k against the system's own
+    recurrence.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    top = bot = IntPoly()
+    top, bot = [0], [0]  # T_(-1); bot is kept as long as top
     for j in range(k + 1):
-        m0, m1, m2, m3 = _system_matrix_power(k - j)
-        top = top + _times_geometric(_times_geometric(m0, 1) + m1, j)
-        bot = bot + _times_geometric(_times_geometric(m2, 1) + m3, j)
-    return HPair(top, bot)
+        # M (top, bot) = (s^2 top + b, b) with b = (s - 1) top + bot
+        n = len(top)
+        b = [0, *top, 0]
+        b[:n] = map(sub, map(add, b[:n], bot), top)
+        top = list(map(add, [0, 0, *top], b))
+        bot = b
+        top[0] += 1
+        top[1] += 1
+        top[j + 1] -= 1
+        top[j + 2] -= 1
+        bot[0] += 1
+        bot[j + 1] -= 1
+    return HPair(IntPoly._of_ints(list(accumulate(top))),
+                 IntPoly._of_ints(list(accumulate(bot))))
 
 
 def generating_function(family: Family | str) -> SeriesRational:

@@ -307,3 +307,16 @@ def test_bad_input_exits_cleanly(argv, code, needle, tmp_path):
     assert proc.stderr.startswith(("gtfaces: ", "usage: "))
     assert "Traceback" not in proc.stderr
     assert needle in proc.stderr
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader takes the first line of about 447 KB of CSV and closes the pipe
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "gtfaces", "f", "--signature", "2,600", "--csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"dim,f,h\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""  # no traceback, no "Exception ignored" from the final flush

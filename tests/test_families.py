@@ -3,9 +3,9 @@ import math
 import pytest
 
 from gtfaces.engine import h_polynomial, simplex_f_polynomial
-from gtfaces.families import (MAX_K, Family, _system_matrix_power, f_12k3,
-                              family_h, family_signature, generating_function,
-                              h_12k3, h_123k, h_223k, h_pair_matrix, phi)
+from gtfaces.families import (MAX_K, Family, f_12k3, family_h, family_signature,
+                              generating_function, h_12k3, h_123k, h_223k,
+                              h_pair_matrix, phi)
 from gtfaces.poly import IntPoly, series_coeffs
 from gtfaces.signatures import dimension
 
@@ -73,6 +73,27 @@ def test_geometric():
         geometric(-1)
 
 
+def system_matrix_power(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
+    """m-th power of the coupled system's matrix M = [[s^2+s-1, 1], [s-1, 1]],
+    row-major, from its phi entries; m = 0 is the identity, special-cased so
+    no negative phi index is ever needed."""
+    if m == 0:
+        return (IntPoly([1]), IntPoly(), IntPoly(), IntPoly([1]))
+    s_sq = IntPoly([0, 0, 1])
+    s_minus_1 = IntPoly([-1, 1])
+    return (phi(m + 1) - phi(m), phi(m),
+            s_minus_1 * phi(m), phi(m) - s_sq * phi(m - 1))
+
+
+def test_system_matrix_power_phi_entries_equal_m_multiplied_out():
+    m0, m1, m2, m3 = IntPoly([-1, 1, 1]), IntPoly([1]), IntPoly([-1, 1]), IntPoly([1])
+    power = system_matrix_power(0)
+    for m in range(MAX_K + 1):
+        assert system_matrix_power(m) == power, m
+        a, b, c, d = power
+        power = (a * m0 + b * m2, a * m1 + b * m3, c * m0 + d * m2, c * m1 + d * m3)
+
+
 def test_h_12k3_examples():
     assert h_12k3(5).coeffs == (1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1)
     assert h_12k3(0).coeffs == (1, 1)
@@ -105,7 +126,7 @@ def test_f_12k3_examples():
     assert f_12k3(5) == h_12k3(5).shift(1)
 
 
-@pytest.mark.parametrize("k", [*range(9), 60, 180, MAX_K])
+@pytest.mark.parametrize("k", [*range(71), 180, 181, MAX_K])
 def test_f_12k3_equals_shifted_h(k):
     assert f_12k3(k) == h_12k3(k).shift(1)
 
@@ -132,7 +153,7 @@ def test_h_123k_examples():
 
 def test_h_123k_equals_dense_defining_sum():
     # the docstring's defining sum, one dense product per term, is the
-    # reference for the windowed-sum form
+    # reference for the prefix-sum form
     for k in range(40):
         dense = IntPoly()
         for j in range(k + 1):
@@ -152,7 +173,7 @@ def test_coupled_families_match_engine(k):
     assert h_223k(k) == h_polynomial(family_signature(Family.GZ_223K, k))
 
 
-@pytest.mark.parametrize("k", [*range(13), 60, 180, MAX_K])
+@pytest.mark.parametrize("k", [*range(71), 180, 181, MAX_K])
 def test_h_pair_matrix_matches_formulas(k):
     pair = h_pair_matrix(k)
     assert pair.h_123k == h_123k(k)
@@ -161,16 +182,16 @@ def test_h_pair_matrix_matches_formulas(k):
 
 def test_h_pair_matrix_equals_dense_defining_sum():
     # the docstring's defining sum, one dense matrix-vector product per
-    # term, is the reference for the sliding-window form
+    # term, is the reference for the Horner form
     def mat_vec(m, v):
         return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
 
     s_plus_1 = IntPoly([1, 1])
     for k in range(40):
-        top, bot = mat_vec(_system_matrix_power(k), (s_plus_1, IntPoly([1])))
+        top, bot = mat_vec(system_matrix_power(k), (s_plus_1, IntPoly([1])))
         for j in range(1, k + 1):
             g = geometric(j)
-            inc_top, inc_bot = mat_vec(_system_matrix_power(k - j), (s_plus_1 * g, g))
+            inc_top, inc_bot = mat_vec(system_matrix_power(k - j), (s_plus_1 * g, g))
             top, bot = top + inc_top, bot + inc_bot
         pair = h_pair_matrix(k)
         assert (pair.h_123k, pair.h_223k) == (top, bot), k
