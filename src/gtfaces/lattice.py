@@ -10,18 +10,23 @@ constraints (the De Loera-McAllister tiling criterion).  A vertex has no
 free chain, so every cell equals a top value and a depth-first search over
 integer tables finds all vertices.  Faces are the closures of constraint
 tight sets under intersection, identified by their vertex sets (the
-vertex-facet incidence closure of Kaibel and Pfetsch); the pass that closes
-a face also records, as a constraint bitmask, the constraints tight on all
-of its vertices, and the face's dimension is their free-chain count.  Both
-uses of the count are checked against exact integer rank, on every table
-the oracle accepts, in ``tests/test_lattice.py``, which also checks the
-whole lattice against a plainer two-pass closure.
+vertex-facet incidence closure of Kaibel and Pfetsch).  One recursive pass
+closes them and gives each face its dimension by lattice rank: every facet
+of a face F is F meet some tight set, so dim F is one more than the largest
+dimension among those meets, and a vertex has dimension 0.  The lattice
+keeps each face as a vertex bitmask with its dimension; the ``Face``
+objects, with their vertex index tuples, are built on first use.  The
+free-chain count of vertices and the rank dimension of faces are checked
+against exact integer rank, on every table the oracle accepts, in
+``tests/test_lattice.py``, which also checks the whole lattice against a
+plainer two-pass closure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
@@ -77,8 +82,24 @@ class Face:
 class FaceLattice:
     signature: Signature
     vertices: tuple[tuple[int, ...], ...]
-    faces: tuple[Face, ...]
     f_vector: tuple[int, ...]
+    # face vertex bitmask -> dimension; the signature determines it, so it
+    # stays out of equality and hashing
+    face_dims: dict[int, int] = field(compare=False, repr=False)
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Every face as its vertex indices and dimension, ordered by
+        (dimension, indices); built on first access."""
+        by_dim: dict[int, list[tuple[int, ...]]] = {}
+        for fmask, dim in self.face_dims.items():
+            idxs = []
+            while fmask:
+                low = fmask & -fmask
+                idxs.append(low.bit_length() - 1)
+                fmask ^= low
+            by_dim.setdefault(dim, []).append(tuple(idxs))
+        return tuple(Face(idxs, dim) for dim in sorted(by_dim) for idxs in sorted(by_dim[dim]))
 
 
 def _free_chains(table: TriangularTable, tight: int) -> int:
@@ -154,39 +175,37 @@ def face_lattice(sig: Signature) -> FaceLattice:
     Every facet appears among the constraint tight sets, every face is an
     intersection of facets, and intersections of faces are faces; closing
     the tight sets under intersection therefore enumerates exactly the
-    faces, each identified by its vertex bitmask.  The pass that intersects
-    a face with every constraint's tight set also finds the constraints
-    tight on all of its vertices, which cut out its affine hull, so the
-    face's dimension is their free-chain count.
+    faces, each identified by its vertex bitmask.  The closure recurses
+    from the polytope into each face's nonempty proper meets with the tight
+    sets, which include all of its facets, so a face's dimension is one
+    more than the largest among its meets (a vertex has none and gets 0).
+    Only the bitmask -> dimension map is kept; ``FaceLattice.faces`` turns
+    it into ``Face`` objects when first read.
     """
     vertices = enumerate_vertices(sig)
     table = TriangularTable.from_signature(sig)
     full = (1 << len(vertices)) - 1
-    masks = [(t, 1 << j) for j, t in enumerate(_tight_masks(table, vertices))]
-    tight_on = {full: 0}  # face vertex mask -> its constraint bitmask
-    stack = [full]
-    while stack:
-        fmask = stack.pop()
-        tight = 0
-        for t, bit in masks:
-            g = fmask & t
-            if g == fmask:
-                tight |= bit
-            elif g and g not in tight_on:
-                tight_on[g] = 0
-                stack.append(g)
-        tight_on[fmask] = tight
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for fmask, tight in tight_on.items():
-        idxs = []
-        while fmask:
-            low = fmask & -fmask
-            idxs.append(low.bit_length() - 1)
-            fmask ^= low
-        by_dim.setdefault(_free_chains(table, tight), []).append(tuple(idxs))
-    faces = [Face(idxs, dim) for dim in sorted(by_dim) for idxs in sorted(by_dim[dim])]
-    f_vector = tuple(len(by_dim.get(dim, ())) for dim in range(max(by_dim) + 1))
-    return FaceLattice(sig, tuple(vertices), tuple(faces), f_vector)
+    masks = set(_tight_masks(table, vertices)) - {0, full}
+    dims: dict[int, int] = {}
+
+    def close(fmask: int) -> int:
+        meets = {fmask & t for t in masks}
+        meets.discard(fmask)
+        meets.discard(0)
+        dim = -1
+        for g in meets:
+            d = dims.get(g)
+            if d is None:
+                d = close(g)
+            if d > dim:
+                dim = d
+        dims[fmask] = dim + 1
+        return dim + 1
+
+    f_vector = [0] * (close(full) + 1)
+    for dim in dims.values():
+        f_vector[dim] += 1
+    return FaceLattice(sig, tuple(vertices), tuple(f_vector), dims)
 
 
 def tracked_cells(sig: Signature) -> tuple[int, ...]:

@@ -74,9 +74,6 @@ class IntPoly:
     def __hash__(self) -> int:
         return hash(("IntPoly", self.coeffs))
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly._of_ints(list(map(neg, self.coeffs)))
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented

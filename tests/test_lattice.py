@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtfaces import checks, lattice
-from gtfaces.lattice import (Face, FaceLattice, ResourceLimitError, TriangularTable,
+from gtfaces.lattice import (Face, ResourceLimitError, TriangularTable,
                              _free_chains, _tight_masks, enumerate_vertices,
                              face_lattice, fiber_decomposition_check, tracked_cells)
 from gtfaces.signatures import Signature, dimension, iter_signatures
@@ -19,7 +19,8 @@ def _sig_id(sig):
     return ",".join(map(str, sig.mults))
 
 
-# exact integer rank: the reference for the oracle's free-chain counts
+# exact integer rank: the reference for the oracle's free-chain counts and
+# face dimensions
 
 def _row_echelon_insert(pivots, row):
     """Reduce ``row`` against the echelon ``pivots`` (lead column -> row,
@@ -146,7 +147,7 @@ def _reference_face_lattice(sig):
     f_vector = [0] * (faces[-1].dim + 1)
     for face in faces:
         f_vector[face.dim] += 1
-    return FaceLattice(sig, tuple(vertices), tuple(faces), tuple(f_vector))
+    return tuple(vertices), tuple(faces), tuple(f_vector)
 
 
 def test_table_shape():
@@ -213,11 +214,24 @@ def test_oracle_agrees_with_engine_s6_spots(monkeypatch):
 
 @pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=_sig_id)
 def test_face_lattice_matches_reference_closure(sig, monkeypatch):
-    # the one-pass bitmask closure against the plainer reference: the same
+    # the recursive bitmask closure against the plainer reference: the same
     # vertices, the same faces in the same order, the same f-vector
     if sig.s > lattice.MAX_S:
         monkeypatch.setattr(lattice, "MAX_S", 6)
-    assert face_lattice(sig) == _reference_face_lattice(sig)
+    lat = face_lattice(sig)
+    assert (lat.vertices, lat.faces, lat.f_vector) == _reference_face_lattice(sig)
+
+
+def test_face_lattice_builds_faces_on_first_use():
+    sig = Signature((1, 1, 1, 1))
+    lat = face_lattice(sig)
+    assert "faces" not in lat.__dict__
+    faces = lat.faces
+    assert lat.faces is faces
+    assert len(faces) == sum(lat.f_vector)
+    # equality and hashing read the signature, vertices and f-vector only
+    again = face_lattice(sig)
+    assert again == lat and hash(again) == hash(lat)
 
 
 @pytest.mark.parametrize("s", range(1, 5))
@@ -241,8 +255,10 @@ def test_free_chains_match_reference_on_drawn_subsets(sig, data):
 
 @pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=_sig_id)
 def test_free_chains_match_exact_rank(sig, monkeypatch):
-    # the oracle's one dimension routine against exact integer rank: on every
-    # table the oracle accepts (all s <= 5), and on three s = 6 tables
+    # the oracle's two dimension counts against exact integer rank, on every
+    # table the oracle accepts (all s <= 5) and on three s = 6 tables: the
+    # free-chain count at every integer point, which decides the vertices,
+    # and the lattice-rank dimension of every face
     if sig.s > lattice.MAX_S:
         monkeypatch.setattr(lattice, "MAX_S", 6)
     lat = face_lattice(sig)
