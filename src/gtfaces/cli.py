@@ -153,7 +153,7 @@ def cmd_family(args: argparse.Namespace, out: io.TextIOBase) -> int:
         rec = _record({"kind": "family", "text": f"{fam.value} k={k}"}, sig, f, h, ms)
         rec["k"] = k
         if args.check:
-            agrees = h_polynomial(sig) == h
+            agrees = f_polynomial(sig) == f
             rec["engine_agrees"] = agrees
             if not agrees:
                 disagreements += 1

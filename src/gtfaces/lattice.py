@@ -2,23 +2,20 @@
 triangular-table inequality system.
 
 Everything here is exact integer arithmetic.  Each constraint says one
-table entry is at most another, so the constraints a point meets with
-equality join the cells into chains.  A chain that does not reach the
-fixed top row keeps one degree of freedom, its common value; the number of
-such free chains is the dimension of the solution space of the tight
-constraints (the De Loera-McAllister tiling criterion).  A vertex has no
-free chain, so every cell equals a top value and a depth-first search over
-integer tables finds all vertices.  Faces are the closures of constraint
-tight sets under intersection, identified by their vertex sets (the
-vertex-facet incidence closure of Kaibel and Pfetsch).  One recursive pass
-closes them and gives each face its dimension by lattice rank: every facet
-of a face F is F meet some tight set, so dim F is one more than the largest
-dimension among those meets, and a vertex has dimension 0.  The lattice
-keeps each face as a vertex bitmask with its dimension; the ``Face``
-objects, with their vertex index tuples, are built on first use.  The
-free-chain count of vertices and the rank dimension of faces are checked
-against exact integer rank, on every table the oracle accepts, in
-``tests/test_lattice.py``, which also checks the whole lattice against a
+table entry is at most another.  An integer table is a vertex iff every
+cell equals one of its two upper neighbours (the De Loera-McAllister tiling
+criterion, read at a single point), so a depth-first search that gives
+each cell only those values finds exactly the vertices.  Faces are the
+closures of constraint tight sets under intersection, identified by their
+vertex sets (the vertex-facet incidence closure of Kaibel and Pfetsch).
+One recursive pass closes them and gives each face its dimension by
+lattice rank: every facet of a face F is F meet some tight set, so dim F is
+one more than the largest dimension among those meets, and a vertex has
+dimension 0.  The lattice keeps each face as a vertex bitmask with its
+dimension; the ``Face`` objects, with their vertex index tuples, are built
+on first use.  ``tests/test_lattice.py`` checks the vertices against a
+free-chain count at every integer point and against exact integer rank,
+the face dimensions against exact rank, and the whole lattice against a
 plainer two-pass closure.
 """
 
@@ -33,8 +30,8 @@ from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
 from .signatures import Signature
 
 # the oracle's one budget, read at call time: the total length.  It bounds
-# every run; at s <= 5 the vertex DFS visits at most 1,024 integer tables and
-# the closure makes at most 34,833 faces, both for 1^5.
+# every run; at s <= 5 the vertex DFS finds at most 358 vertices and the
+# closure makes at most 34,833 faces, both for 1^5.
 MAX_S = 5
 
 
@@ -53,9 +50,6 @@ class TriangularTable:
     top: tuple[int, ...]
     cells: tuple[tuple[int, int], ...]
     constraints: tuple[tuple[int, int], ...]  # (lo, hi) meaning value(lo) <= value(hi)
-    # per constraint, its endpoints as union-find nodes: 0 for the whole top
-    # row, 1 + i for cell i
-    edges: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_signature(cls, sig: Signature) -> "TriangularTable":
@@ -68,8 +62,7 @@ class TriangularTable:
         for (r, c) in cells:
             constraints.append((node[(r - 1, c)], node[(r, c)]))
             constraints.append((node[(r, c)], node[(r - 1, c + 1)]))
-        edges = tuple((max(lo - s + 1, 0), max(hi - s + 1, 0)) for lo, hi in constraints)
-        return cls(s, top, tuple(cells), tuple(constraints), edges)
+        return cls(s, top, tuple(cells), tuple(constraints))
 
 
 @dataclass(frozen=True)
@@ -102,39 +95,18 @@ class FaceLattice:
         return tuple(Face(idxs, dim) for dim in sorted(by_dim) for idxs in sorted(by_dim[dim]))
 
 
-def _free_chains(table: TriangularTable, tight: int) -> int:
-    """Number of cell components, joined by the constraints held with
-    equality, that reach no top entry: the dimension of the solution space
-    of those equalities.  ``tight`` is a constraint bitmask (bit j for
-    ``table.constraints[j]``).  A union-find over ``table.edges`` starts
-    from one node per cell plus node 0 for the whole top row; each merge
-    removes one component, so the free chains are cells - merges."""
-    parent = list(range(len(table.cells) + 1))
-    edges = table.edges
-    merges = 0
-    while tight:
-        low = tight & -tight
-        tight ^= low
-        a, b = edges[low.bit_length() - 1]
-        while a != parent[a]:
-            parent[a] = a = parent[parent[a]]
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            merges += 1
-    return len(table.cells) - merges
-
-
 def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
     """All vertices as integer cell-value tuples, lexicographic in scan order.
 
-    The DFS ranges each cell over the integers between its two upper
-    neighbours, so every candidate already satisfies all constraints; a
-    candidate is a vertex iff its tight constraints leave no free chain.
-    Cell i fixes whether its constraints 2i and 2i+1 are tight, so the
-    tight bitmask grows along the DFS.  Since a vertex is integral, this
-    enumeration is exhaustive.
+    A table is a vertex iff every cell equals its left or its right upper
+    neighbour:
+    - if it does, every chain of equal cells reaches the fixed top row, so
+      the tight constraints fix every cell;
+    - if a cell lies strictly between its upper neighbours, it can move
+      both ways together with the cells below it that equal it.
+    The DFS therefore gives each cell its left upper neighbour's value and,
+    when that differs, its right one, in ascending order; every leaf is a
+    vertex.
     """
     if sig.s > MAX_S:
         raise ResourceLimitError(
@@ -146,18 +118,17 @@ def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
     values = list(table.top) + [0] * ncells
     out: list[tuple[int, ...]] = []
 
-    def dfs(i: int, tight: int) -> None:
+    def dfs(i: int) -> None:
         if i == ncells:
-            if _free_chains(table, tight) == 0:
-                out.append(tuple(values[s:]))
+            out.append(tuple(values[s:]))
             return
         lo = values[constraints[2 * i][0]]
         hi = values[constraints[2 * i + 1][1]]
-        for v in range(lo, hi + 1):
+        for v in (lo,) if lo == hi else (lo, hi):
             values[s + i] = v
-            dfs(i + 1, tight | (v == lo) << 2 * i | (v == hi) << 2 * i + 1)
+            dfs(i + 1)
 
-    dfs(0, 0)
+    dfs(0)
     return out
 
 
@@ -220,23 +191,9 @@ def tracked_cells(sig: Signature) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class FiberGroup:
-    """Faces over one cube face: expected fiber f-vector vs observed
-    dimension-shifted face counts."""
-
-    picks: tuple[Pick, ...]
-    cube_dim: int
-    child: Signature
-    expected: tuple[int, ...]
-    observed: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FiberCheckReport:
-    signature: Signature
     ok: bool
     failures: tuple[str, ...]
-    groups: tuple[FiberGroup, ...]
 
 
 def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
@@ -250,7 +207,7 @@ def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
     """
     if sig.k == 1:
         # the projection collapses to a point; nothing to decompose
-        return FiberCheckReport(sig, True, (), ())
+        return FiberCheckReport(True, ())
     lat = face_lattice(sig)
     cols = tracked_cells(sig)
     failures: list[str] = []
@@ -283,7 +240,6 @@ def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
             continue
         key = tuple(picks)
         observed.setdefault(key, Counter())[face.dim - len(mid_positions)] += 1
-    groups: list[FiberGroup] = []
     for fc in cube_children(sig):
         expected = f_polynomial(fc.child).coeffs
         counts = observed.get(fc.picks, Counter())
@@ -294,7 +250,5 @@ def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
             failures.append(
                 f"cube face {tuple(p.value for p in fc.picks)}: fiber {fc.child.mults} "
                 f"expects f-vector {tuple(expected)}, observed {got}")
-        groups.append(FiberGroup(fc.picks, fc.cube_dim, fc.child,
-                                 tuple(expected), got))
-    return FiberCheckReport(sig, not failures, tuple(failures), tuple(groups))
+    return FiberCheckReport(not failures, tuple(failures))
 
