@@ -8,15 +8,16 @@ criterion, read at a single point), so a depth-first search that gives
 each cell only those values finds exactly the vertices.  Faces are the
 closures of constraint tight sets under intersection, identified by their
 vertex sets (the vertex-facet incidence closure of Kaibel and Pfetsch).
-One recursive pass closes them and gives each face its dimension by
-lattice rank: every facet of a face F is F meet some tight set, so dim F is
-one more than the largest dimension among those meets, and a vertex has
+One recursive pass closes them and gives each face its dimension by lattice
+rank: every facet of a face F is F meet some tight set, so dim F is one
+more than the largest dimension among those meets, and a vertex has
 dimension 0.  The lattice keeps each face as a vertex bitmask with its
-dimension; the ``Face`` objects, with their vertex index tuples, are built
-on first use.  ``tests/test_lattice.py`` checks the vertices against a
-free-chain count at every integer point and against exact integer rank,
-the face dimensions against exact rank, and the whole lattice against a
-plainer two-pass closure.
+dimension, and the projection check reads those bitmasks too; ``Face``
+objects, with their vertex index tuples, are built only when
+``FaceLattice.faces`` is read.  ``tests/test_lattice.py`` checks the
+vertices against a free-chain count at every integer point and against
+exact integer rank, the face dimensions against exact rank, and the whole
+lattice against a plainer two-pass closure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .engine import Pick, ResourceLimitError, cube_children, f_polynomial
+from .poly import IntPoly
 from .signatures import Signature
 
 # the oracle's one budget, read at call time: the total length.  It bounds
@@ -84,15 +86,18 @@ class FaceLattice:
     def faces(self) -> tuple[Face, ...]:
         """Every face as its vertex indices and dimension, ordered by
         (dimension, indices); built on first access."""
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for fmask, dim in self.face_dims.items():
-            idxs = []
-            while fmask:
-                low = fmask & -fmask
-                idxs.append(low.bit_length() - 1)
-                fmask ^= low
-            by_dim.setdefault(dim, []).append(tuple(idxs))
-        return tuple(Face(idxs, dim) for dim in sorted(by_dim) for idxs in sorted(by_dim[dim]))
+        return tuple(Face(idxs, dim) for dim, idxs in
+                     sorted((dim, _indices(fmask)) for fmask, dim in self.face_dims.items()))
+
+
+def _indices(fmask: int) -> tuple[int, ...]:
+    """The vertex indices of a face bitmask, ascending."""
+    idxs = []
+    while fmask:
+        low = fmask & -fmask
+        idxs.append(low.bit_length() - 1)
+        fmask ^= low
+    return tuple(idxs)
 
 
 def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
@@ -197,58 +202,49 @@ class FiberCheckReport:
 
 
 def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
-    """Verify both projection statements against the enumerated lattice.
+    """Verify both projection statements on the lattice's vertex bitmasks.
 
-    For every face: its tracked coordinates must span a cube face (each
-    coordinate fixed at an endpoint or covering both, with every corner of
-    the spanned face hit by a projected vertex).  Grouping faces by their
-    image cube face, the multiset of dim(face) - dim(cube face) must then
-    reproduce the fiber's f-vector for all 3^(k-1) cube faces.
+    Cube coordinate q is tracked cell c, under the top values q and q + 1, so
+    the tight sets of its constraints 2c and 2c + 1 are the vertices where it
+    equals q and q + 1.  A face picks LOW when it misses the q + 1 side, HIGH
+    when it misses the q side, and MID otherwise.  Statement 1: no vertex of
+    a face lies off both sides, and every corner of its spanned cube face
+    (the face met with one side per MID coordinate) is nonempty.  Statement
+    2: grouped by picks, the counts of dim(face) - #MID equal the fiber's
+    f-polynomial for all 3^(k-1) cube faces.
     """
     if sig.k == 1:
         # the projection collapses to a point; nothing to decompose
         return FiberCheckReport(True, ())
     lat = face_lattice(sig)
-    cols = tracked_cells(sig)
+    tight = _tight_masks(TriangularTable.from_signature(sig), lat.vertices)
+    sides = [(c, tight[2 * c], tight[2 * c + 1]) for c in tracked_cells(sig)]
     failures: list[str] = []
-    observed: dict[tuple[Pick, ...], Counter] = {}
-    for face in lat.faces:
-        proj = {tuple(lat.vertices[i][c] for c in cols) for i in face.vertex_indices}
+    observed: Counter = Counter()  # (picks, dim(face) - #MID) -> faces
+    for fmask, dim in lat.face_dims.items():
         picks: list[Pick] = []
-        bad = False
-        for q in range(1, sig.k):
-            vals = {p[q - 1] for p in proj}
-            if vals == {q}:
-                picks.append(Pick.LOW)
-            elif vals == {q + 1}:
-                picks.append(Pick.HIGH)
-            elif vals == {q, q + 1}:
-                picks.append(Pick.MID)
+        corners = [fmask]
+        for q, (c, low, high) in enumerate(sides, 1):
+            if fmask & ~(low | high):
+                idxs = _indices(fmask)
+                vals = sorted({lat.vertices[i][c] for i in idxs})
+                failures.append(f"face {idxs} has image values {vals} in coordinate {q}")
+                break
+            pick = Pick.LOW if not fmask & high else Pick.HIGH if not fmask & low else Pick.MID
+            picks.append(pick)
+            if pick is Pick.MID:
+                corners = [m & side for m in corners for side in (low, high)]
+        else:
+            if all(corners):
+                observed[tuple(picks), dim - picks.count(Pick.MID)] += 1
             else:
                 failures.append(
-                    f"face {face.vertex_indices} has image values {sorted(vals)} "
-                    f"in coordinate {q}")
-                bad = True
-                break
-        if bad:
-            continue
-        mid_positions = [i for i, p in enumerate(picks) if p is Pick.MID]
-        corners = {tuple(p[i] for i in mid_positions) for p in proj}
-        if len(corners) != 2 ** len(mid_positions):
-            failures.append(
-                f"face {face.vertex_indices} misses corners of its image cube face")
-            continue
-        key = tuple(picks)
-        observed.setdefault(key, Counter())[face.dim - len(mid_positions)] += 1
+                    f"face {_indices(fmask)} misses corners of its image cube face")
     for fc in cube_children(sig):
-        expected = f_polynomial(fc.child).coeffs
-        counts = observed.get(fc.picks, Counter())
-        width = max(len(expected), max(counts) + 1 if counts else 0)
-        got = tuple(counts.get(d, 0) for d in range(width))
-        exp = tuple(expected) + (0,) * (width - len(expected))
-        if got != exp:
+        expected = f_polynomial(fc.child)
+        got = IntPoly(observed[fc.picks, d] for d in range(len(lat.f_vector)))
+        if got != expected:
             failures.append(
                 f"cube face {tuple(p.value for p in fc.picks)}: fiber {fc.child.mults} "
-                f"expects f-vector {tuple(expected)}, observed {got}")
+                f"expects f-vector {expected.coeffs}, observed {got.coeffs}")
     return FiberCheckReport(not failures, tuple(failures))
-

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from operator import mul
+from operator import index, mul
 from typing import Iterator
 
 
@@ -47,7 +47,10 @@ class Signature:
     mults: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = tuple(int(x) for x in self.mults)
+        try:
+            m = tuple(map(index, self.mults))
+        except TypeError:
+            raise ValueError("signature entries must be positive integers") from None
         if not m:
             raise ValueError("signature must be nonempty")
         if any(x < 1 for x in m):

@@ -324,11 +324,10 @@ def test_tracked_cells():
     assert tracked_cells(Signature((4,))) == ()
 
 
-@pytest.mark.parametrize("mults", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1),
-                                   (2, 2), (2, 3), (1, 2)])
+# every signature with s <= 5 that has a cube to project onto, (1, 2) among them
+@pytest.mark.parametrize("mults", [sig.mults for sig in checks.signatures_up_to(5) if sig.k >= 2])
 def test_fiber_decomposition(mults):
-    sig = Signature(mults)
-    ok, detail = checks.fiber_decomposition([sig])
+    ok, detail = checks.fiber_decomposition([Signature(mults)])
     assert ok, detail
 
 
@@ -345,6 +344,31 @@ def test_fiber_decomposition_point_fiber(monkeypatch):
     assert not report.ok
     assert report.failures == (
         "cube face ('high', 'low'): fiber (2,) expects f-vector (2,), observed (1,)",)
+
+
+def test_fiber_decomposition_image_off_the_cube(monkeypatch):
+    # move vertex 0 of GZ(1 2 3) off the cube in coordinate 1: its own face
+    # then has an image value that is neither endpoint
+    real = face_lattice(Signature((1, 1, 1)))
+    v0 = (3,) + real.vertices[0][1:]
+    planted = lattice.FaceLattice(
+        real.signature, (v0,) + real.vertices[1:], real.f_vector, real.face_dims)
+    monkeypatch.setattr(lattice, "face_lattice", lambda sig: planted)
+    report = fiber_decomposition_check(Signature((1, 1, 1)))
+    assert not report.ok
+    assert "face (0,) has image values [3] in coordinate 1" in report.failures
+
+
+def test_fiber_decomposition_missing_corner(monkeypatch):
+    # drop vertex 0 from every face of GZ(1 2 3) (its own face goes): the
+    # faces that spanned a cube face through it now miss one of its corners
+    real = face_lattice(Signature((1, 1, 1)))
+    dims = {fmask & ~1: dim for fmask, dim in real.face_dims.items() if fmask != 1}
+    planted = lattice.FaceLattice(real.signature, real.vertices, real.f_vector, dims)
+    monkeypatch.setattr(lattice, "face_lattice", lambda sig: planted)
+    report = fiber_decomposition_check(Signature((1, 1, 1)))
+    assert not report.ok
+    assert "face (2, 4, 5) misses corners of its image cube face" in report.failures
 
 
 def test_fiber_decomposition_trivial_for_one_level():

@@ -48,6 +48,10 @@ def test_signature_validation():
         Signature(())
     with pytest.raises(ValueError):
         Signature((1, 0))
+    # entries are not truncated or parsed: non-integral ones are refused
+    for bad in [(1.5, 2), ("3",), (2.0,), (Fraction(3),)]:
+        with pytest.raises(ValueError, match="signature entries must be positive integers"):
+            Signature(bad)
 
 
 def test_canonicalize_examples():
