@@ -24,16 +24,22 @@ distinct fiber.  ``cube_children`` enumerates the pick vectors one by one
 and stays as the reference the transfer is tested against.
 
 The inner loops touch only ints, tuples and one list per node.  A transfer
-weight is one int holding its coefficients in fixed-width slots (see
-``transfer_children``), nodes are keyed by their run-length tuples in
-reverse normal form, and a node's sum adds each slot times the child's
-coefficients into a single coefficient list; the one ``IntPoly`` built per
-node is the finished polynomial.
+weight is one int holding its coefficients in whole 64-bit words (see
+``transfer_children``), and nodes are keyed by their run-length tuples in
+reverse normal form.  A node of total length at most _WORD_PATH_MAX_S
+sums by Kronecker substitution: each child's coefficients are packed into
+64-bit words of one int as well, so weight * child is one big-int product
+whose words are the terms of the sum, and the node's words are unpacked
+once at the end.  Longer nodes, whose coefficients may outgrow a word, add
+each slot times the child's coefficients into a coefficient list.  The one
+``IntPoly`` built per node is the finished polynomial.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -44,13 +50,26 @@ from .poly import IntPoly
 from .signatures import Signature, canonicalize, e2  # noqa: F401
 
 # work one evaluation may do before it stops, in coefficient products of the
-# final sums; a transfer step (one state extended by one pick) is charged
+# final sums, one per slot of a weight and coefficient of its child (a node
+# on the word path is charged the same, though it makes one product per
+# child); a transfer step (one state extended by one pick) is charged
 # _STEP_WORK products, about its measured cost, so that a signature with many
 # levels stops before its transfer states fill memory.  On a 2-core Xeon with
-# Python 3.11, 1^13 takes 10.9M in about 1 s and (2,1200) 14.0M in about 4 s,
+# Python 3.11, 1^13 takes 10.9M in about 1 s and (2,1200) 14.0M in about 3 s,
 # each through the CLI.
 MAX_ENGINE_WORK = 16_000_000
 _STEP_WORK = 16
+
+# Largest total length s whose nodes take the word path.  A node's
+# coefficient sums 3^(k-1) terms, one per pick vector, each a coefficient of
+# a child one shorter, so it is at most 3^(k-1) <= 3^(s-1) times the
+# largest child coefficient, and by induction below 3^(s(s-1)/2).  As
+# 3^36 < 2^64 <= 3^45, every coefficient of a node with s <= 9 and of its
+# children fits an unsigned 64-bit word, as does every slot of its transfer
+# weights (k <= s <= 41); all terms are nonnegative, so no word of a packed
+# product ever carries into the next.
+_WORD_PATH_MAX_S = 9
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ResourceLimitError(RuntimeError):
@@ -121,9 +140,10 @@ def transfer_children(mults: tuple[int, ...],
     of t^cube_dim over the pick vectors that give it, packed into one int.
 
     Coefficient j of a weight sits in bits [j * wb, (j + 1) * wb), where
-    wb = (3^(k-1)).bit_length() for k = len(mults).  A coefficient counts
-    pick vectors, so it is at most 3^(k-1) < 2^wb, and adding weights never
-    carries from one slot into the next.
+    wb = ``_slot_width(k)`` for k = len(mults): the bit length of 3^(k-1)
+    rounded up to whole 64-bit words, so 64 for every k <= 41.  A
+    coefficient counts pick vectors, so it is at most 3^(k-1) < 2^wb, and
+    adding weights never carries from one slot into the next.
 
     A state is a fiber prefix and the carry bit of the last pick, weighted
     by that polynomial; each block extends it by the rule of
@@ -159,8 +179,24 @@ def transfer_children(mults: tuple[int, ...],
 
 def _slot_width(k: int) -> int:
     """Bits per coefficient of the packed weights of a k-level transfer:
-    enough for the 3^(k-1) pick vectors."""
-    return (3 ** (k - 1)).bit_length()
+    enough for the 3^(k-1) pick vectors, in whole 64-bit words."""
+    return -(-(3 ** (k - 1)).bit_length() // 64) * 64
+
+
+def _pack_words(coeffs: tuple[int, ...]) -> int:
+    """``coeffs`` as one int, coefficient j in the 64-bit word j."""
+    packed = array("Q", coeffs)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _unpack_words(packed: int, n: int) -> list[int]:
+    """The n 64-bit words of ``packed``, lowest first."""
+    words = array("Q", packed.to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def simplex_f_polynomial(m: int) -> IntPoly:
@@ -201,8 +237,11 @@ class FaceCountEngine:
         polynomial arithmetic.  Every child is one entry shorter than its
         parent, so summing weight * f(child) over the distinct children by
         ascending length finds each child's polynomial already cached.  A
-        node's sum is one list of coefficients: each nonzero slot w_j of a
-        packed weight adds w_j * f(child) into it, shifted by j.
+        node with total length at most _WORD_PATH_MAX_S adds the big-int
+        product of each packed weight and its child's coefficients packed
+        the same way, then unpacks its words; a longer node's sum is one
+        list of coefficients: each nonzero slot w_j of a packed weight adds
+        w_j * f(child) into it, shifted by j.
         """
         used = 0
 
@@ -234,7 +273,17 @@ class FaceCountEngine:
                       * (size.get(child) or size.setdefault(child, e2(child) + 1))
                       for child, weight in children.items()))
             todo.extend(children)
+        words: dict[tuple[int, ...], int] = {}  # children packed for the word path
         for mults in sorted(grouped, key=sum):
+            if sum(mults) <= _WORD_PATH_MAX_S:
+                acc = 0
+                for child, weight in grouped[mults].items():
+                    f = words.get(child)
+                    if f is None:
+                        f = words[child] = _pack_words(cache[child].coeffs)
+                    acc += weight * f
+                cache[mults] = IntPoly._of_ints(_unpack_words(acc, size[mults]))
+                continue
             wb = _slot_width(len(mults))
             mask = (1 << wb) - 1
             acc = [0] * size[mults]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gtfaces import checks
+from gtfaces import checks, engine
 from gtfaces.engine import (FaceCountEngine, Pick, ResourceLimitError, cube_children,
                             f_polynomial, fiber_child, h_polynomial,
                             simplex_f_polynomial, transfer_children)
@@ -68,8 +68,8 @@ def grouped_cube_children(sig):
 
 def unpack(weight, k):
     """A packed transfer weight of a k-level signature as an IntPoly: the
-    coefficient of t^j sits in slot j, (3^(k-1)).bit_length() bits wide."""
-    wb = (3 ** (k - 1)).bit_length()
+    coefficient of t^j sits in slot j, engine._slot_width(k) bits wide."""
+    wb = engine._slot_width(k)
     coeffs = []
     while weight:
         coeffs.append(weight & ((1 << wb) - 1))
@@ -88,8 +88,8 @@ def test_transfer_examples():
     # over the square; (HIGH, LOW) gives the point (2,)
     assert unpacked_children(Signature((1, 1, 1))) == {
         Signature((1, 1)): IntPoly([3, 4, 1]), Signature((2,)): IntPoly([1])}
-    # slots of a 3-level weight are 4 bits wide
-    assert transfer_children((1, 1, 1)) == {(1, 1): 3 + (4 << 4) + (1 << 8), (2,): 1}
+    # slots of a 3-level weight are one 64-bit word wide
+    assert transfer_children((1, 1, 1)) == {(1, 1): 3 + (4 << 64) + (1 << 128), (2,): 1}
     # (1,3,1): (3,1) folds onto (1,3) under reversal
     assert unpacked_children(Signature((1, 3, 1))) == {
         Signature((1, 3)): IntPoly([2, 2]), Signature((1, 2, 1)): IntPoly([1, 2, 1]),
@@ -157,6 +157,33 @@ def test_fused_sum_matches_products_on_long_signatures(shape):
 def test_fused_sum_matches_products_on_many_levels(n):
     sig = Signature((1,) * n)
     assert FaceCountEngine().f_polynomial(sig) == f_by_products(sig.mults, {})
+
+
+def test_word_path_limit_is_the_largest_that_fits():
+    s = engine._WORD_PATH_MAX_S
+    assert 3 ** (s * (s - 1) // 2) < 2 ** 64 <= 3 ** ((s + 1) * s // 2)
+    # the slots of every transfer the word path multiplies are single words
+    assert engine._slot_width(s) == 64
+
+
+def test_word_path_matches_list_path(monkeypatch):
+    # every signature with s <= 8 and all 256 compositions of 9
+    sigs = [sig for s in range(1, 10) for sig in iter_signatures(s)]
+    assert len(sigs) == 255 + 256
+    word = [FaceCountEngine().f_polynomial(sig) for sig in sigs]
+    monkeypatch.setattr(engine, "_WORD_PATH_MAX_S", 0)
+    assert [FaceCountEngine().f_polynomial(sig) for sig in sigs] == word
+
+
+def test_word_path_coefficients_stay_below_their_bound():
+    eng = FaceCountEngine()
+    every = [sig.mults for s in range(1, 10) for sig in iter_signatures(s)]
+    for mults in every:
+        eng.f_polynomial(Signature(mults))
+    assert set(eng._cache) == {min(m, m[::-1]) for m in every}
+    for node, f in eng._cache.items():
+        s = sum(node)
+        assert max(f.coeffs) <= 3 ** (s * (s - 1) // 2) < 2 ** 64, node
 
 
 @pytest.mark.parametrize("mults, reached", [
