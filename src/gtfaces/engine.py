@@ -24,13 +24,16 @@ distinct fiber.  ``cube_children`` enumerates the pick vectors one by one
 and stays as the reference the transfer is tested against.
 
 The inner loops touch only ints, tuples and one list per node.  A transfer
+state is one int coding the fiber prefix and the carry bit, and a transfer
 weight is one int holding its coefficients in whole 64-bit words (see
-``transfer_children``), and nodes are keyed by their run-length tuples in
-reverse normal form.  A node of total length at most _WORD_PATH_MAX_S
-sums by Kronecker substitution: each child's coefficients are packed into
-64-bit words of one int as well, so weight * child is one big-int product
-whose words are the terms of the sum, and the node's words are unpacked
-once at the end.  Longer nodes, whose coefficients may outgrow a word, add
+``transfer_children``).  Nodes are keyed by their run-length tuples in
+reverse normal form; each distinct finished fiber's code is decoded into
+that tuple once per evaluation, through a memo that lives only as long as
+the evaluation.  A node of total length at most _WORD_PATH_MAX_S sums by
+Kronecker substitution: each child's coefficients are packed into 64-bit
+words of one int as well, so weight * child is one big-int product whose
+words are the terms of the sum, and the node's words are unpacked once at
+the end.  Longer nodes, whose coefficients may outgrow a word, add
 each slot times the child's coefficients into a coefficient list.  The one
 ``IntPoly`` built per node is the finished polynomial.
 """
@@ -54,9 +57,9 @@ from .signatures import Signature, canonicalize, e2  # noqa: F401
 # on the word path is charged the same, though it makes one product per
 # child); a transfer step (one state extended by one pick) is charged
 # _STEP_WORK products, about its measured cost, so that a signature with many
-# levels stops before its transfer states fill memory.  On a 2-core Xeon with
-# Python 3.11, 1^13 takes 10.9M in about 1 s and (2,1200) 14.0M in about 3 s,
-# each through the CLI.
+# levels stops before its transfer states fill memory.  On a shared 2-core
+# Xeon with Python 3.11, 1^13 takes 10.9M in about 1 s (0.75 s with --quiet)
+# and (2,1200) 14.0M in about 3 s (2.5-3.0 s), each through the CLI.
 MAX_ENGINE_WORK = 16_000_000
 _STEP_WORK = 16
 
@@ -134,6 +137,7 @@ def cube_children(sig: Signature) -> list[FiberChild]:
 
 def transfer_children(mults: tuple[int, ...],
                       spend: Callable[[int], None] = lambda work: None,
+                      keys: dict[int, tuple[int, ...]] | None = None,
                       ) -> dict[tuple[int, ...], int]:
     """The distinct fibers of ``cube_children(Signature(mults))``, keyed by
     their run lengths in reverse normal form, each with the polynomial sum
@@ -147,32 +151,55 @@ def transfer_children(mults: tuple[int, ...],
 
     A state is a fiber prefix and the carry bit of the last pick, weighted
     by that polynomial; each block extends it by the rule of
-    ``fiber_child``.  ``spend`` is charged _STEP_WORK per step before each
-    block, and may raise to stop the transfer.
+    ``fiber_child``.  The state is one int, ``code << 1 | carry``, where
+    the code of the prefix (a_1, ..., a_j) starts at 1 and takes
+    ``code << a | 1`` for each run a: a leading 1, then each run as a - 1
+    zero bits over a one, so the code's bit length is 1 + a_1 + ... + a_j.
+    Each step is a few shifts and ORs on that int.  Each distinct final
+    code is decoded once, by peeling its runs off the low end, into
+    ``keys``: a memo from code to run-length tuple in reverse normal form,
+    which the caller may share across the transfers of one evaluation; a
+    fresh one is used when it is None.  ``spend`` is charged _STEP_WORK
+    per step before each block, and may raise to stop the transfer.
     """
     if len(mults) < 2:
         raise ValueError("fibers need at least two distinct levels")
+    if keys is None:
+        keys = {}
     wb = _slot_width(len(mults))
-    states: dict[tuple[tuple[int, ...], bool], int] = {((), False): 1}
+    states: dict[int, int] = {0b10: 1}  # empty prefix, no carry
     for m in mults[:-1]:
         spend(_STEP_WORK * 3 * len(states))
-        grown: dict[tuple[tuple[int, ...], bool], int] = {}
+        grown: dict[int, int] = {}
         get = grown.get
-        for (prefix, carry), weight in states.items():
-            kept = m - 1 + carry
-            head = prefix + (kept,) if kept else prefix
-            key = (prefix + (kept + 1,), False)  # LOW
+        for state, weight in states.items():
+            code = state >> 1
+            kept = m - 1 + (state & 1)
+            head = code << kept | 1 if kept else code
+            key = code << kept + 2 | 2           # LOW
             grown[key] = get(key, 0) + weight
-            key = (head + (1,), False)           # MID: one more cube dimension
+            key = head << 2 | 2                  # MID: one more cube dimension
             grown[key] = get(key, 0) + (weight << wb)
-            key = (head, True)                   # HIGH
+            key = head << 1 | 1                  # HIGH
             grown[key] = get(key, 0) + weight
         states = grown
     children: dict[tuple[int, ...], int] = {}
-    for (prefix, carry), weight in states.items():
-        kept = mults[-1] - 1 + carry
-        child = prefix + (kept,) if kept else prefix
-        child = min(child, child[::-1])
+    last = mults[-1] - 1
+    for state, weight in states.items():
+        code = state >> 1
+        kept = last + (state & 1)
+        if kept:
+            code = code << kept | 1
+        child = keys.get(code)
+        if child is None:
+            runs = []
+            rest = code >> 1  # less the last run's one: its lowest set bit is a_j - 1
+            while rest:
+                run = (rest & -rest).bit_length()
+                runs.append(run)
+                rest >>= run
+            child = tuple(runs)  # last run first
+            child = keys[code] = min(child, child[::-1])
         children[child] = children.get(child, 0) + weight
     return children
 
@@ -231,10 +258,11 @@ class FaceCountEngine:
     def _evaluate(self, root: tuple[int, ...]) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
 
-        The expansion pass runs the transfer of every uncached node and
-        charges its steps and the coefficient products its sum will take
-        against MAX_ENGINE_WORK, so an oversized input stops before any
-        polynomial arithmetic.  Every child is one entry shorter than its
+        The expansion pass runs the transfer of every uncached node, all
+        through one memo of decoded fiber codes that ends with the call,
+        and charges its steps and the coefficient products its sum will
+        take against MAX_ENGINE_WORK, so an oversized input stops before
+        any polynomial arithmetic.  Every child is one entry shorter than its
         parent, so summing weight * f(child) over the distinct children by
         ascending length finds each child's polynomial already cached.  A
         node with total length at most _WORD_PATH_MAX_S adds the big-int
@@ -257,6 +285,7 @@ class FaceCountEngine:
         cache = self._cache
         grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         size = {root: e2(root) + 1}  # coefficient counts, each computed once
+        keys: dict[int, tuple[int, ...]] = {}  # fiber codes decoded, per evaluation
         todo = [root]
         while todo:
             mults = todo.pop()
@@ -266,7 +295,7 @@ class FaceCountEngine:
                 # all levels equal: the polytope is a point, whatever the length
                 cache[mults] = IntPoly([1])
                 continue
-            children = grouped[mults] = transfer_children(mults, spend)
+            children = grouped[mults] = transfer_children(mults, spend, keys)
             wb = _slot_width(len(mults))
             # one product per slot of a weight and coefficient of its child
             spend(sum(((weight.bit_length() - 1) // wb + 1)

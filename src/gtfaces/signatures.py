@@ -10,6 +10,7 @@ reversal symmetry through its ``min(m, m[::-1])`` key.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -19,6 +20,12 @@ from typing import Iterator
 
 class ParseError(ValueError):
     """Bad textual input for a level sequence or a signature."""
+
+
+# a level value as written: an optional sign, then digits with an optional
+# decimal part; no exponent, as Fraction expands 1e3000000 into an integer
+# of three million digits, which the int digit limit does not catch
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -85,14 +92,18 @@ class Signature:
 
 
 def parse_level_sequence(text: str) -> LevelSequence:
-    """Parse a comma-separated list of decimal integers / half-integers."""
+    """Parse a comma-separated list of decimal integers / half-integers,
+    such as 1,2.5,2.5; any other notation (an exponent, a fraction) is a
+    ParseError."""
     values: list[Fraction] = []
     for tok in (tok.strip() for tok in text.split(",")):
         if not tok:
             raise ParseError(f"empty token in level sequence {text!r}")
+        if not _DECIMAL.fullmatch(tok):
+            raise ParseError(f"cannot parse level value {tok!r}")
         try:
             values.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
+        except ValueError:  # more digits than int conversion admits
             raise ParseError(f"cannot parse level value {tok!r}") from None
     try:
         return LevelSequence(tuple(values))

@@ -90,6 +90,20 @@ def test_parse_error_exit_2(capsys):
     assert "bad k range" in err
 
 
+def test_lambda_exponent_is_a_usage_error(capsys):
+    # Fraction would expand these into integers of millions of digits
+    code, out, err = run(capsys, "f", "--lambda", "1e3000000,2e3000000")
+    assert (code, out) == (2, "")
+    assert err == "gtfaces: error: cannot parse level value '1e3000000'\n"
+    code, _, err = run(capsys, "f", "--lambda", "1e400,1")
+    assert code == 2
+    assert "'1e400'" in err and len(err) < 60
+    # a value that is not an integer or half-integer stays a usage error
+    code, _, err = run(capsys, "f", "--lambda", "1,1.25")
+    assert code == 2
+    assert "1.25" in err
+
+
 def test_family_12k3(capsys):
     code, out, _ = run(capsys, "family", "--family", "12k3", "--k", "5")
     assert code == 0

@@ -121,6 +121,41 @@ def test_packed_slots_never_carry():
         assert total == 3 ** (len(mults) - 1), mults
 
 
+@pytest.mark.parametrize("mults", [(2, 1200), (1, 300, 1), (3, 1, 500), (7, 2, 1, 400)])
+def test_transfer_matches_brute_grouping_on_wide_codes(mults):
+    # at most 27 pick vectors each, but fiber codes of hundreds of bits
+    sig, keys = Signature(mults), {}
+    children = {Signature(child): unpack(weight, sig.k)
+                for child, weight in transfer_children(mults, keys=keys).items()}
+    assert children == grouped_cube_children(sig)
+    assert {code.bit_length() for code in keys} == {sig.s}
+
+
+def fiber_code(runs):
+    """A fiber prefix coded as the transfer codes it: 1, then code << a | 1
+    for each run a."""
+    code = 1
+    for a in runs:
+        code = code << a | 1
+    return code
+
+
+def test_shared_key_memo_matches_fresh_transfers():
+    keys, tested = {}, 0
+    for s in range(2, 10):
+        for sig in iter_signatures(s):
+            if sig.k < 2:
+                continue
+            assert transfer_children(sig.mults, keys=keys) == transfer_children(sig.mults), sig
+            tested += 1
+    assert tested == sum(2 ** (s - 1) - 1 for s in range(2, 10))  # 502
+    for code, child in keys.items():
+        assert all(isinstance(a, int) and a >= 1 for a in child), code
+        assert child == min(child, child[::-1]), code
+        assert sum(child) == code.bit_length() - 1, code
+        assert code in (fiber_code(child), fiber_code(child[::-1])), code
+
+
 def f_by_products(mults, memo):
     """The evaluation the engine's fused sum replaces: bottom-up, one IntPoly
     product and one sum per (node, child) over ``transfer_children``."""

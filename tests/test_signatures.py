@@ -26,6 +26,18 @@ def test_parse_level_sequence():
         parse_level_sequence("1,abc")
 
 
+def test_parse_level_sequence_accepts_plain_decimals_only():
+    assert parse_level_sequence("-1,+0.5,.5,2.").values == (
+        -1, Fraction(1, 2), Fraction(1, 2), 2)
+    # an exponent would expand to as many digits as it asks for, so no
+    # exponent, fraction, underscore, prefix or non-ASCII digit is read
+    for tok in ["1e3000000", "1e400", "1E2", "inf", "nan", "1/2", "1_0",
+                "0x10", "\u0661", "1.5.", "--1", "."]:
+        with pytest.raises(ParseError) as info:
+            parse_level_sequence(f"{tok},{tok}")
+        assert str(info.value) == f"cannot parse level value {tok!r}"
+
+
 def test_parse_signature():
     assert parse_signature("1,3,1").mults == (1, 3, 1)
     with pytest.raises(ParseError):
