@@ -8,7 +8,7 @@ assert them.  A failing check names the first offending signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .engine import (FaceCountEngine, cube_children, f_polynomial, h_polynomial,
                      simplex_f_polynomial)
@@ -35,26 +35,30 @@ def signatures_up_to(max_s: int) -> Iterator[Signature]:
         yield from iter_signatures(s)
 
 
-def oracle_vs_engine(sigs: Iterable[Signature]) -> CheckResult:
-    """The face lattice's f-vector equals the engine's f-polynomial."""
+def _sweep(sigs: Iterable[Signature], passed: str,
+           failure: Callable[[Signature], str | None]) -> CheckResult:
+    """Fail at the first signature for which ``failure`` gives a detail."""
     tested = 0
     for sig in sigs:
-        got = face_lattice(sig).f_vector
-        want = f_polynomial(sig).coeffs
-        if got != want:
-            return CheckResult(False, f"{sig.mults}: oracle {got} vs engine {want}")
+        detail = failure(sig)
+        if detail is not None:
+            return CheckResult(False, f"{sig.mults}: {detail}")
         tested += 1
-    return CheckResult(True, f"{tested} signatures, f-vectors identical")
+    return CheckResult(True, f"{tested} signatures, {passed}")
+
+
+def oracle_vs_engine(sigs: Iterable[Signature]) -> CheckResult:
+    """The face lattice's f-vector equals the engine's f-polynomial."""
+    def failure(sig: Signature) -> str | None:
+        got, want = face_lattice(sig).f_vector, f_polynomial(sig).coeffs
+        return None if got == want else f"oracle {got} vs engine {want}"
+    return _sweep(sigs, "f-vectors identical", failure)
 
 
 def euler(sigs: Iterable[Signature]) -> CheckResult:
     """f(-1) = 1: the Euler relation with the polytope itself counted."""
-    tested = 0
-    for sig in sigs:
-        if f_polynomial(sig).evaluate(-1) != 1:
-            return CheckResult(False, f"{sig.mults}: f(-1) != 1")
-        tested += 1
-    return CheckResult(True, f"{tested} signatures, f(-1) = 1")
+    return _sweep(sigs, "f(-1) = 1", lambda sig:
+                  None if f_polynomial(sig).evaluate(-1) == 1 else "f(-1) != 1")
 
 
 def reversal(sigs: Iterable[Signature]) -> CheckResult:
@@ -63,26 +67,20 @@ def reversal(sigs: Iterable[Signature]) -> CheckResult:
     sweep that holds every shorter signature covers the whole recursion by
     induction."""
     engine = FaceCountEngine()
-    tested = 0
-    for sig in sigs:
+
+    def failure(sig: Signature) -> str | None:
         rev = sig.reversed()
         step = IntPoly([1]) if rev.k == 1 else sum(
             (IntPoly.monomial(fc.cube_dim) * engine.f_polynomial(fc.child)
              for fc in cube_children(rev)), IntPoly())
-        if engine.f_polynomial(sig) != step:
-            return CheckResult(False, f"{sig.mults}: f differs from reversed")
-        tested += 1
-    return CheckResult(True, f"{tested} signatures, reversal-invariant")
+        return None if engine.f_polynomial(sig) == step else "f differs from reversed"
+    return _sweep(sigs, "reversal-invariant", failure)
 
 
 def dimension_degree(sigs: Iterable[Signature]) -> CheckResult:
     """deg f equals the dimension e2 of the signature."""
-    tested = 0
-    for sig in sigs:
-        if f_polynomial(sig).degree != dimension(sig):
-            return CheckResult(False, f"{sig.mults}: deg f != e2")
-        tested += 1
-    return CheckResult(True, f"{tested} signatures, deg f = e2")
+    return _sweep(sigs, "deg f = e2", lambda sig:
+                  None if f_polynomial(sig).degree == dimension(sig) else "deg f != e2")
 
 
 def simplex_shortcut(max_m: int) -> CheckResult:
@@ -96,13 +94,10 @@ def simplex_shortcut(max_m: int) -> CheckResult:
 
 def fiber_decomposition(sigs: Iterable[Signature]) -> CheckResult:
     """Both projection statements hold on the enumerated face lattice."""
-    tested = 0
-    for sig in sigs:
+    def failure(sig: Signature) -> str | None:
         report = fiber_decomposition_check(sig)
-        if not report.ok:
-            return CheckResult(False, f"{sig.mults}: {report.failures[0]}")
-        tested += 1
-    return CheckResult(True, f"{tested} signatures, projection checks hold")
+        return None if report.ok else report.failures[0]
+    return _sweep(sigs, "projection checks hold", failure)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ Exit codes:
   1  a verification failed (a cross-check or a --check comparison); a
      failed comparison is reported on stderr, so --json and --csv output
      stays parseable
-  2  usage error: bad arguments, malformed input, --json with --csv,
-     --csv on verify, --quiet on gf, verify --max-s below 1, an --out file
-     that cannot be opened for writing
+  2  usage error: bad arguments, malformed input (every count: the
+     multiplicities, --k, --kmax and --max-s, is plain ASCII digits),
+     --json with --csv, --csv on verify, --quiet on gf, verify --max-s
+     below 1, an --out file that cannot be opened for writing
   3  resource limit: the oracle budget (total length above lattice.MAX_S),
      the engine budget (engine.MAX_ENGINE_WORK transfer steps and
      coefficient products per evaluation), or a family parameter above
@@ -41,7 +42,7 @@ from .engine import ResourceLimitError, f_polynomial, h_polynomial
 from .families import Family
 from .poly import IntPoly, series_coeffs
 from .signatures import (ParseError, Signature, canonicalize, dimension,
-                         parse_level_sequence, parse_signature)
+                         parse_count, parse_level_sequence, parse_signature)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -112,12 +113,9 @@ def _check_k(k: int) -> None:
 def _parse_k_spec(spec: str) -> range:
     """'5' -> range(5, 6); '0:4' -> range(0, 5)."""
     lo_text, sep, hi_text = spec.partition(":")
-    try:
-        lo = int(lo_text)
-        hi = int(hi_text) if sep else lo
-    except ValueError:
-        raise ParseError(f"cannot parse k spec {spec!r}") from None
-    if lo < 0 or hi < lo:
+    lo = parse_count(lo_text, "k")
+    hi = parse_count(hi_text, "k") if sep else lo
+    if hi < lo:
         raise ParseError(f"bad k range {spec!r}")
     _check_k(hi)
     return range(lo, hi + 1)
@@ -178,10 +176,9 @@ def cmd_family(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 def cmd_gf(args: argparse.Namespace, out: io.TextIOBase) -> int:
     fam = Family(args.family)
-    if args.kmax < 0:
-        raise ParseError("--kmax must be >= 0")
-    _check_k(args.kmax)
-    coeffs = series_coeffs(families.generating_function(fam), args.kmax)
+    kmax = parse_count(args.kmax, "--kmax")
+    _check_k(kmax)
+    coeffs = series_coeffs(families.generating_function(fam), kmax)
     mismatched = []
     records = []
     for k, h in enumerate(coeffs):
@@ -214,12 +211,13 @@ def cmd_gf(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
-    if args.max_s < 1:
+    max_s = parse_count(args.max_s, "--max-s")
+    if max_s < 1:
         raise ParseError("--max-s must be >= 1")
-    if args.max_s > lattice.MAX_S:
+    if max_s > lattice.MAX_S:
         raise ResourceLimitError(
-            f"--max-s {args.max_s} exceeds oracle budget MAX_S={lattice.MAX_S}",
-            "MAX_S", lattice.MAX_S, args.max_s)
+            f"--max-s {max_s} exceeds oracle budget MAX_S={lattice.MAX_S}",
+            "MAX_S", lattice.MAX_S, max_s)
     results: list[tuple[str, checks.CheckResult]] = []
     chatty = not args.json
 
@@ -229,14 +227,14 @@ def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
             mark = "ok  " if result.ok else "FAIL"
             out.write(f"{mark} {name}: {result.detail}\n")
 
-    sweep = list(checks.signatures_up_to(args.max_s))
+    sweep = list(checks.signatures_up_to(max_s))
     record("oracle-vs-engine", checks.oracle_vs_engine(sweep))
     record("euler", checks.euler(sweep))
     record("reversal", checks.reversal(sweep))
     record("dimension-degree", checks.dimension_degree(sweep))
     record("simplex-shortcut", checks.simplex_shortcut(6))
     fiber_sigs = [Signature(m) for m in checks.FIBER_CHECK_SIGNATURES
-                  if sum(m) <= args.max_s]
+                  if sum(m) <= max_s]
     record("fiber-decomposition", checks.fiber_decomposition(fiber_sigs))
     if args.adjudicate_223_k3:
         adj = checks.adjudicate_223_k3()
@@ -296,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gf = sub.add_parser("gf", help="expand a family's generating function")
     p_gf.add_argument("--family", required=True,
                       choices=[Family.GZ_123K.value, Family.GZ_223K.value])
-    p_gf.add_argument("--kmax", required=True, type=int)
+    p_gf.add_argument("--kmax", required=True)
     add_output_flags(p_gf)
     p_gf.set_defaults(func=cmd_gf)
 
     p_ver = sub.add_parser("verify", help="run cross-check sweeps")
-    p_ver.add_argument("--max-s", type=int, default=4,
+    p_ver.add_argument("--max-s", default="4",
                        help="sweep all signatures with total length up to this")
     p_ver.add_argument("--adjudicate-223-k3", action="store_true",
                        help="settle the disputed h-vector of GZ(2^2 3^3)")

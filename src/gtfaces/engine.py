@@ -251,10 +251,6 @@ class FaceCountEngine:
             self._evaluate(key)
         return self._cache[key]
 
-    def h_polynomial(self, sig: Signature) -> IntPoly:
-        """h(s) = f(s - 1)."""
-        return self.f_polynomial(sig).shift(-1)
-
     def _evaluate(self, root: tuple[int, ...]) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
 
@@ -341,5 +337,5 @@ def f_polynomial(sig: Signature) -> IntPoly:
 
 
 def h_polynomial(sig: Signature) -> IntPoly:
-    """h-polynomial via the shared default engine."""
-    return _DEFAULT_ENGINE.h_polynomial(sig)
+    """h-polynomial via the shared default engine: h(s) = f(s - 1)."""
+    return _DEFAULT_ENGINE.f_polynomial(sig).shift(-1)

@@ -34,10 +34,7 @@ from .poly import IntPoly, SeriesRational, z_mul
 from .signatures import Signature
 
 # largest family parameter the CLI accepts, sized when the slowest command it
-# admits took about 15 s.  On a shared 2-core Xeon with Python 3.11,
-# `family --family 123k --k 0:MAX_K --check` takes 5.5-5.8 s, `223k`
-# 4.7-5.0 s, `12k3` 2.9-3.9 s, and `gf --family 123k|223k --kmax MAX_K`
-# 2.7-3.9 s.  Cost grows about as k^3.
+# admits took about 15 s; cost grows about as k^3 (README gives current times)
 MAX_K = 300
 
 

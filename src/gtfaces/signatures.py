@@ -28,6 +28,18 @@ class ParseError(ValueError):
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
+def parse_count(text: str, what: str) -> int:
+    """Read a count (a multiplicity, k, --kmax, --max-s) written as plain
+    ASCII digits; a sign, an underscore or any other digit is a ParseError."""
+    tok = text.strip()
+    try:
+        if tok.isascii() and tok.isdigit():
+            return int(tok)
+    except ValueError:  # more digits than int conversion admits
+        pass
+    raise ParseError(f"cannot parse {what} {tok!r}")
+
+
 @dataclass(frozen=True)
 class LevelSequence:
     """Nondecreasing values, each an integer or a half-integer."""
@@ -113,14 +125,9 @@ def parse_level_sequence(text: str) -> LevelSequence:
 
 def parse_signature(text: str) -> Signature:
     """Parse comma-separated positive multiplicities like '1,3,1'."""
-    mults: list[int] = []
-    for tok in (tok.strip() for tok in text.split(",")):
-        try:
-            mults.append(int(tok))
-        except ValueError:
-            raise ParseError(f"cannot parse multiplicity {tok!r}") from None
+    mults = tuple(parse_count(tok, "multiplicity") for tok in text.split(","))
     try:
-        return Signature(tuple(mults))
+        return Signature(mults)
     except ValueError as exc:
         raise ParseError(f"bad signature {text!r}: {exc}") from None
 

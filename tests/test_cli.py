@@ -203,6 +203,18 @@ def test_verify_planted_failure_exits_1(capsys, monkeypatch):
     assert "ok   reversal" in out
 
 
+def test_verify_planted_adjudication_failure_exits_1(capsys, monkeypatch):
+    from gtfaces.checks import LEGACY_223_K3_VECTOR
+    from gtfaces.poly import IntPoly
+
+    monkeypatch.setattr("gtfaces.checks.h_223k",
+                        lambda k: IntPoly(LEGACY_223_K3_VECTOR))
+    code, out, _ = run(capsys, "verify", "--max-s", "2", "--adjudicate-223-k3")
+    assert code == 1
+    assert "FAIL adjudicate-223-k3: three paths disagree: {" in out
+    assert out.endswith("6/7 checks passed\n")
+
+
 def test_verify_trivial(capsys):
     code, out, _ = run(capsys, "verify", "--max-s", "1")
     assert code == 0
@@ -321,6 +333,31 @@ def test_bad_input_exits_cleanly(argv, code, needle, tmp_path):
     assert proc.stderr.startswith(("gtfaces: ", "usage: "))
     assert "Traceback" not in proc.stderr
     assert needle in proc.stderr
+
+
+REFUSED_COUNTS = {"underscore": "1_0", "arabic-indic": "\u0663", "superscript": "\u00b2",
+                  "plus": "+3", "minus": "-1", "empty": "", "5000-digits": "9" * 5000}
+# "--opt=value" hands argparse every token, also one such as "-1,3" that it
+# would otherwise take for an option
+COUNT_INPUTS = {
+    "signature": (["f", "--signature={},3"], "multiplicity"),
+    "k": (["family", "--family", "12k3", "--k={}"], "k"),
+    "kmax": (["gf", "--family", "223k", "--kmax={}"], "--kmax"),
+    "max-s": (["verify", "--max-s={}"], "--max-s"),
+}
+
+
+@pytest.mark.parametrize("tok", REFUSED_COUNTS.values(), ids=REFUSED_COUNTS.keys())
+@pytest.mark.parametrize("argv, what", COUNT_INPUTS.values(), ids=COUNT_INPUTS.keys())
+def test_count_spellings_exit_2(argv, what, tok):
+    # every count is plain ASCII digits; the message names the token
+    argv = [a.format(tok) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run([sys.executable, "-m", "gtfaces", *argv], capture_output=True,
+                          encoding="utf-8", env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"gtfaces: error: cannot parse {what} {tok!r}\n"
 
 
 def test_closed_stdout_exits_141_without_traceback():

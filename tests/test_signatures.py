@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from gtfaces.signatures import (LevelSequence, ParseError, Signature,
                                 canonicalize, dimension, iter_signatures,
-                                parse_level_sequence, parse_signature)
+                                parse_count, parse_level_sequence,
+                                parse_signature)
 
 signatures = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
     lambda m: Signature(tuple(m)))
@@ -36,6 +37,24 @@ def test_parse_level_sequence_accepts_plain_decimals_only():
         with pytest.raises(ParseError) as info:
             parse_level_sequence(f"{tok},{tok}")
         assert str(info.value) == f"cannot parse level value {tok!r}"
+
+
+def test_parse_level_sequence_past_the_int_digit_limit():
+    tok = "1" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_level_sequence(f"1,{tok}")
+    assert str(info.value) == f"cannot parse level value {tok!r}"
+
+
+def test_parse_count_reads_ascii_digits_only():
+    assert parse_count("0", "k") == 0
+    assert parse_count(" 42 ", "k") == 42
+    assert parse_count("007", "k") == 7
+    # int() would read all but the last two; no count has a sign
+    for tok in ["1_0", "\u0663", "\u00b2", "+3", "-1", "", "9" * 5000]:
+        with pytest.raises(ParseError) as info:
+            parse_count(tok, "k")
+        assert str(info.value) == f"cannot parse k {tok!r}"
 
 
 def test_parse_signature():
