@@ -2,22 +2,25 @@
 
 Every check returns a ``CheckResult`` (ok, detail) and writes nothing;
 ``gtfaces verify`` prints them, the acceptance criteria and property tests
-assert them.  A failing check names the first offending signature.
+assert them.  A failing check names the first offending signature or family
+member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import (FaceCountEngine, cube_children, f_polynomial, h_polynomial,
                      simplex_f_polynomial)
-from .families import h_223k
+from .families import (Family, f_12k3, family_h, family_signature, generating_function,
+                       h_223k, h_pair_matrix)
 from .lattice import face_lattice, fiber_decomposition_check
-from .poly import IntPoly
+from .poly import IntPoly, series_coeffs
 from .signatures import Signature, dimension, iter_signatures
 
 FIBER_CHECK_SIGNATURES = ((1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (2, 2), (2, 3))
+FAMILY_CHECK_KS = range(13)
 
 # hand value that circulates for the (2,3) member; the closed form, the
 # recurrence and the oracle all disagree with it in the same way
@@ -98,6 +101,30 @@ def fiber_decomposition(sigs: Iterable[Signature]) -> CheckResult:
         report = fiber_decomposition_check(sig)
         return None if report.ok else report.failures[0]
     return _sweep(sigs, "projection checks hold", failure)
+
+
+def family_routes(ks: Sequence[int]) -> CheckResult:
+    """Each family's closed form at each k equals the engine, the series of
+    its generating function and its second closed route: ``h_pair_matrix``
+    for 123k/223k, and ``f_12k3`` against the shifted h for 12k3."""
+    for fam in Family:
+        series = series_coeffs(generating_function(fam), max(ks))
+        for k in ks:
+            closed = family_h(fam, k)
+            routes = [("engine", h_polynomial(family_signature(fam, k)), closed),
+                      ("series", series[k], closed)]
+            if fam is Family.GZ_12K3:
+                routes.append(("f_12k3", f_12k3(k), closed.shift(1)))
+            else:
+                pair = h_pair_matrix(k)
+                routes.append(("matrix", pair.h_123k if fam is Family.GZ_123K
+                               else pair.h_223k, closed))
+            differ = [name for name, got, want in routes if got != want]
+            if differ:
+                return CheckResult(False, f"{fam.value} k={k}: closed form differs "
+                                          f"from {', '.join(differ)}")
+    return CheckResult(True, f"{len(Family)} families at {len(ks)} values of k: engine, "
+                             "series and second closed route equal the closed form")
 
 
 @dataclass(frozen=True)

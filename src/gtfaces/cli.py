@@ -3,8 +3,10 @@
 Subcommands:
   f       f-/h-vector of one polytope given as levels or as a signature
   family  closed-form vectors for the 12k3 / 123k / 223k families
-  gf      h-polynomials expanded from a family's generating function
-  verify  cross-check sweeps (engine vs oracle, projection checks, ...)
+  gf      h-polynomials expanded from a family's generating function, for
+          any of the three families
+  verify  cross-check sweeps (engine vs oracle, projection checks, every
+          route of the three families, ...)
 
 Exit codes:
   0  success
@@ -236,6 +238,7 @@ def cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     fiber_sigs = [Signature(m) for m in checks.FIBER_CHECK_SIGNATURES
                   if sum(m) <= max_s]
     record("fiber-decomposition", checks.fiber_decomposition(fiber_sigs))
+    record("family-routes", checks.family_routes(checks.FAMILY_CHECK_KS))
     if args.adjudicate_223_k3:
         adj = checks.adjudicate_223_k3()
         if chatty and not args.quiet:
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gf = sub.add_parser("gf", help="expand a family's generating function")
     p_gf.add_argument("--family", required=True,
-                      choices=[Family.GZ_123K.value, Family.GZ_223K.value])
+                      choices=[f.value for f in Family])
     p_gf.add_argument("--kmax", required=True)
     add_output_flags(p_gf)
     p_gf.set_defaults(func=cmd_gf)

@@ -6,14 +6,15 @@ Families are named after their level patterns:
   123k : three levels, the top one repeated k times      -> signature (1, 1, k)
   223k : doubled low level, top repeated k times         -> signature (2, k)
 
-The 12k3 family has a scalar one-step recurrence with an explicit unrolled
-solution and a fully explicit h-vector.  The 123k and 223k families are
-coupled through the system matrix M = [[s^2+s-1, 1], [s-1, 1]], whose
+Each family has a rational generating function in z.  The 12k3 family has
+a scalar one-step recurrence with an explicit unrolled solution, a fully
+explicit h-vector and the kernel 1 - s^2 z.  The 123k and 223k families
+are coupled through the system matrix M = [[s^2+s-1, 1], [s-1, 1]], whose
 powers have entries built from the polynomial sequence ``phi`` with
 
     phi(0) = 0,  phi(1) = 1,  phi(k+1) = (s^2 + s) phi(k) - s^2 phi(k-1),
 
-which also gives the per-k closed forms and the kernel of both rational
+which also gives the per-k closed forms and the kernel of their two
 generating functions; ``h_pair_matrix`` iterates M itself instead.
 Divisions by 1 - s are exact prefix sums, so every computation stays
 inside integer-coefficient polynomials.
@@ -195,23 +196,23 @@ def h_pair_matrix(k: int) -> HPair:
 def generating_function(family: Family | str) -> SeriesRational:
     """Rational series in z whose z^k coefficient is the family's h-polynomial.
 
-    Numerators: (s + 1) - s z for the 123k family, 1 - s z for 223k; the
-    shared denominator is (1 - z)(1 - s z)(1 - (s^2+s) z + s^2 z^2).
+    Numerators: (s + 1) + s^2 z - s^2 z^2 for the 12k3 family, (s + 1) - s z
+    for 123k and 1 - s z for 223k.  Every denominator is (1 - z)(1 - s z)
+    times a kernel: 1 - s^2 z for 12k3, 1 - (s^2+s) z + s^2 z^2 (phi's
+    recurrence) for the coupled pair.
     """
     fam = Family(family)
     if fam is Family.GZ_12K3:
-        raise ValueError("no rational generating function is provided for the 12k3 family")
-    den: tuple[IntPoly, ...] = (IntPoly([1]),)
-    for factor in (
-        (IntPoly([1]), IntPoly([-1])),                              # 1 - z
-        (IntPoly([1]), IntPoly([0, -1])),                           # 1 - s z
-        (IntPoly([1]), IntPoly([0, -1, -1]), IntPoly([0, 0, 1])),   # 1 - (s^2+s) z + s^2 z^2
-    ):
-        den = z_mul(den, factor)
-    if fam is Family.GZ_123K:
-        num: tuple[IntPoly, ...] = (IntPoly([1, 1]), IntPoly([0, -1]))
+        num: tuple[IntPoly, ...] = (IntPoly([1, 1]), IntPoly([0, 0, 1]), IntPoly([0, 0, -1]))
+        kernel = (IntPoly([1]), IntPoly([0, 0, -1]))                        # 1 - s^2 z
     else:
-        num = (IntPoly([1]), IntPoly([0, -1]))
+        num = (IntPoly([1, 1] if fam is Family.GZ_123K else [1]), IntPoly([0, -1]))
+        kernel = (IntPoly([1]), IntPoly([0, -1, -1]), IntPoly([0, 0, 1]))  # 1 - (s^2+s) z + s^2 z^2
+    den: tuple[IntPoly, ...] = (IntPoly([1]),)
+    for factor in ((IntPoly([1]), IntPoly([-1])),      # 1 - z
+                   (IntPoly([1]), IntPoly([0, -1])),   # 1 - s z
+                   kernel):
+        den = z_mul(den, factor)
     return SeriesRational(num, den)
 
 

@@ -8,8 +8,7 @@ import time
 
 from gtfaces import checks
 from gtfaces.engine import f_polynomial, h_polynomial
-from gtfaces.families import (Family, HPair, f_12k3, generating_function,
-                              h_12k3, h_123k, h_223k, h_pair_matrix, phi)
+from gtfaces.families import Family, f_12k3, generating_function, h_12k3, h_123k, phi
 from gtfaces.lattice import face_lattice
 from gtfaces.poly import series_coeffs
 from gtfaces.signatures import Signature
@@ -68,12 +67,9 @@ def test_criterion_04_oracle_equals_engine_up_to_s5():
 
 
 def test_criterion_05_generating_functions_to_k12():
-    ok = True
-    for family, per_k in ((Family.GZ_123K, h_123k), (Family.GZ_223K, h_223k)):
-        coeffs = series_coeffs(generating_function(family), 12)
-        ok = ok and all(coeffs[k] == per_k(k) for k in range(13))
+    ok, detail = checks.family_routes(checks.FAMILY_CHECK_KS)
     _report(5, ok, "series coefficients match per-k formulas for k <= 12, "
-                   "both families")
+                   f"all three families; {detail}")
 
 
 def test_criterion_06_hill_formula_vs_recurrence():
@@ -89,8 +85,8 @@ def test_criterion_06_hill_formula_vs_recurrence():
 
 
 def test_criterion_07_matrix_path():
-    ok = all(h_pair_matrix(k) == HPair(h_123k(k), h_223k(k)) for k in range(13))
-    _report(7, ok, "matrix-power pair equals per-k formulas for k <= 12")
+    ok, detail = checks.family_routes(checks.FAMILY_CHECK_KS)
+    _report(7, ok, f"matrix-power pair equals per-k formulas for k <= 12; {detail}")
 
 
 def test_criterion_08_fiber_decomposition():

@@ -1,8 +1,14 @@
-"""Planted failures: each cross-route check names the signature it fails on."""
+"""Planted failures: each cross-route check names the signature or the
+family member it fails on."""
+
+import pytest
 
 from gtfaces import checks, lattice
+from gtfaces.families import HPair
 from gtfaces.poly import IntPoly
 from gtfaces.signatures import Signature
+
+ONE = IntPoly([1])
 
 
 def test_reversal_names_the_first_failing_signature(monkeypatch):
@@ -40,3 +46,43 @@ def test_adjudication_reports_disagreeing_paths(monkeypatch):
         f"'engine': {adj.engine.coeffs}, 'oracle': {adj.oracle.coeffs}, "
         "'legacy_value': (1, 1, 1, 2, 1), 'matches_legacy': True}")
     assert adj.engine.coeffs == adj.oracle.coeffs == (1, 1, 1, 1, 2, 3, 1)
+
+
+def _engine_off_at_223k_k4(real):
+    return lambda sig: real(sig) + ONE if sig.mults == (2, 4) else real(sig)
+
+
+def _series_off_at_k7(real):
+    def planted(r, k_max):
+        coeffs = real(r, k_max)
+        coeffs[7] += ONE
+        return coeffs
+    return planted
+
+
+def _matrix_off_at_k5(real):
+    def planted(k):
+        pair = real(k)
+        return HPair(pair.h_123k + ONE, pair.h_223k) if k == 5 else pair
+    return planted
+
+
+def _f_12k3_off_at_k3(real):
+    return lambda k: real(k) + ONE if k == 3 else real(k)
+
+
+def _closed_off_at_223k_k2(real):
+    return lambda fam, k: real(fam, k) + ONE if (fam.value, k) == ("223k", 2) else real(fam, k)
+
+
+@pytest.mark.parametrize("name,plant,detail", [
+    ("h_polynomial", _engine_off_at_223k_k4, "223k k=4: closed form differs from engine"),
+    ("series_coeffs", _series_off_at_k7, "12k3 k=7: closed form differs from series"),
+    ("h_pair_matrix", _matrix_off_at_k5, "123k k=5: closed form differs from matrix"),
+    ("f_12k3", _f_12k3_off_at_k3, "12k3 k=3: closed form differs from f_12k3"),
+    ("family_h", _closed_off_at_223k_k2,
+     "223k k=2: closed form differs from engine, series, matrix"),
+], ids=["engine", "series", "matrix", "f_12k3", "closed-form"])
+def test_family_routes_names_member_and_routes(name, plant, detail, monkeypatch):
+    monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
+    assert checks.family_routes(checks.FAMILY_CHECK_KS) == (False, detail)

@@ -152,6 +152,16 @@ def test_gf_223k_kmax1(capsys):
     assert all(r["matches_formula"] for r in recs)
 
 
+def test_gf_12k3_matches_family_table(capsys):
+    code, out, _ = run(capsys, "gf", "--family", "12k3", "--kmax", "3", "--json")
+    assert code == 0
+    series = json.loads(out)
+    _, out, _ = run(capsys, "family", "--family", "12k3", "--k", "0:3", "--json")
+    table = json.loads(out)
+    assert [r["h_vector"] for r in series] == [r["h_vector"] for r in table]
+    assert len(series) == 4 and all(r["matches_formula"] for r in series)
+
+
 def test_check_flag_never_changes_values(capsys):
     _, plain, _ = run(capsys, "family", "--family", "123k", "--k", "2", "--json")
     _, checked, _ = run(capsys, "family", "--family", "123k", "--k", "2",
@@ -212,6 +222,18 @@ def test_verify_planted_adjudication_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-s", "2", "--adjudicate-223-k3")
     assert code == 1
     assert "FAIL adjudicate-223-k3: three paths disagree: {" in out
+    assert out.endswith("7/8 checks passed\n")
+
+
+def test_verify_planted_family_route_failure_exits_1(capsys, monkeypatch):
+    from gtfaces.families import HPair
+    from gtfaces.poly import IntPoly
+
+    monkeypatch.setattr("gtfaces.checks.h_pair_matrix",
+                        lambda k: HPair(IntPoly([9]), IntPoly([9])))
+    code, out, _ = run(capsys, "verify", "--max-s", "2")
+    assert code == 1
+    assert "FAIL family-routes: 123k k=0: closed form differs from matrix\n" in out
     assert out.endswith("6/7 checks passed\n")
 
 
@@ -228,7 +250,9 @@ def test_verify_small_sweep(capsys):
     assert payload["ok"] is True
     names = {c["name"] for c in payload["checks"]}
     assert {"oracle-vs-engine", "euler", "reversal", "dimension-degree",
-            "simplex-shortcut", "fiber-decomposition"} <= names
+            "simplex-shortcut", "fiber-decomposition", "family-routes"} <= names
+    routes = [c for c in payload["checks"] if c["name"] == "family-routes"]
+    assert [c["passed"] for c in routes] == [True]
 
 
 def test_verify_resource_limit(capsys):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gtfaces.engine import h_polynomial, simplex_f_polynomial
+from gtfaces import checks
+from gtfaces.engine import simplex_f_polynomial
 from gtfaces.families import (MAX_K, Family, f_12k3, family_h, family_signature,
                               generating_function, h_12k3, h_123k, h_223k,
                               h_pair_matrix, phi)
@@ -115,20 +116,11 @@ def test_h_12k3_hill_shape(k):
         assert c == (i + 1 if i <= k + 1 else 2 * k + 3 - i)
 
 
-@pytest.mark.parametrize("k", range(9))
-def test_h_12k3_matches_engine(k):
-    assert h_12k3(k) == h_polynomial(family_signature(Family.GZ_12K3, k))
-
-
 def test_f_12k3_examples():
     assert f_12k3(0).coeffs == (2, 1)
     assert f_12k3(1).coeffs == (7, 11, 6, 1)
-    assert f_12k3(5) == h_12k3(5).shift(1)
-
-
-@pytest.mark.parametrize("k", [*range(71), 180, 181, MAX_K])
-def test_f_12k3_equals_shifted_h(k):
-    assert f_12k3(k) == h_12k3(k).shift(1)
+    assert f_12k3(5).coeffs == (47, 271, 810, 1575, 2164, 2176, 1617, 880, 341,
+                                89, 14, 1)
 
 
 def test_f_12k3_equals_dense_unrolled_sum():
@@ -167,19 +159,6 @@ def test_h_223k_examples():
     assert h_223k(3).coeffs == (1, 1, 1, 1, 2, 3, 1)
 
 
-@pytest.mark.parametrize("k", range(7))
-def test_coupled_families_match_engine(k):
-    assert h_123k(k) == h_polynomial(family_signature(Family.GZ_123K, k))
-    assert h_223k(k) == h_polynomial(family_signature(Family.GZ_223K, k))
-
-
-@pytest.mark.parametrize("k", [*range(71), 180, 181, MAX_K])
-def test_h_pair_matrix_matches_formulas(k):
-    pair = h_pair_matrix(k)
-    assert pair.h_123k == h_123k(k)
-    assert pair.h_223k == h_223k(k)
-
-
 def test_h_pair_matrix_equals_dense_defining_sum():
     # the docstring's defining sum, one dense matrix-vector product per
     # term, is the reference for the Horner form
@@ -197,14 +176,42 @@ def test_h_pair_matrix_equals_dense_defining_sum():
         assert (pair.h_123k, pair.h_223k) == (top, bot), k
 
 
+# Every comparison of two family routes goes through checks.family_routes,
+# which compares every route of all three families.  The four per-k tests
+# below each call it at their own k; they keep their names so that every
+# test id of the suite still runs.
+FAMILY_TEST_KS = [*range(71), 180, 181, MAX_K]
+
+
+def _assert_family_routes(ks):
+    ok, detail = checks.family_routes(ks)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_h_12k3_matches_engine(k):
+    _assert_family_routes([k])
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_coupled_families_match_engine(k):
+    _assert_family_routes([k])
+
+
+@pytest.mark.parametrize("k", FAMILY_TEST_KS)
+def test_f_12k3_equals_shifted_h(k):
+    _assert_family_routes([k])
+
+
+@pytest.mark.parametrize("k", FAMILY_TEST_KS)
+def test_h_pair_matrix_matches_formulas(k):
+    _assert_family_routes([k])
+
+
 def test_h_pair_matrix_in_any_call_order():
-    # called descending from MAX_K, then ascending, the matrix path must
-    # match the closed forms at every k, whatever phi already holds
-    ks = [MAX_K, 181, 180, 60, *range(13, -1, -1)]
-    want = {k: (h_123k(k), h_223k(k)) for k in ks}
-    for k in [*ks, *reversed(ks)]:
-        pair = h_pair_matrix(k)
-        assert (pair.h_123k, pair.h_223k) == want[k], k
+    # phi is a grow-only memo: descending from MAX_K, every closed form reads
+    # a phi already filled far past its own k (the tests above run ascending)
+    _assert_family_routes([MAX_K, 181, 180, 60, *range(13, -1, -1)])
 
 
 def test_h_pair_matrix_base_case():
@@ -213,21 +220,10 @@ def test_h_pair_matrix_base_case():
     assert pair.h_223k.coeffs == (1,)
 
 
-@pytest.mark.parametrize("family,per_k", [
-    (Family.GZ_123K, h_123k),
-    (Family.GZ_223K, h_223k),
-])
-def test_generating_functions(family, per_k):
-    coeffs = series_coeffs(generating_function(family), 12)
-    for k, h in enumerate(coeffs):
-        assert h == per_k(k)
-
-
 def test_generating_function_leading_terms():
     assert series_coeffs(generating_function("123k"), 0)[0].coeffs == (1, 1)
     assert series_coeffs(generating_function("223k"), 0)[0].coeffs == (1,)
-    with pytest.raises(ValueError):
-        generating_function(Family.GZ_12K3)
+    assert series_coeffs(generating_function(Family.GZ_12K3), 0)[0].coeffs == (1, 1)
 
 
 def test_family_signature_mapping():
