@@ -29,7 +29,10 @@ weight is one int holding its coefficients in whole 64-bit words (see
 ``transfer_children``).  Nodes are keyed by their run-length tuples in
 reverse normal form; each distinct finished fiber's code is decoded into
 that tuple once per evaluation, through a memo that lives only as long as
-the evaluation.  A node of total length at most _WORD_PATH_MAX_S sums by
+the evaluation.  The states after blocks m_1, ..., m_j depend only on
+those blocks, so the nodes of one evaluation share them: each distinct
+block prefix is extended once, through a trie that also ends with the
+evaluation.  A node of total length at most _WORD_PATH_MAX_S sums by
 Kronecker substitution: each child's coefficients are packed into 64-bit
 words of one int as well, so weight * child is one big-int product whose
 words are the terms of the sum, and the node's words are unpacked once at
@@ -58,8 +61,9 @@ from .signatures import Signature, canonicalize, e2  # noqa: F401
 # child); a transfer step (one state extended by one pick) is charged
 # _STEP_WORK products, about its measured cost, so that a signature with many
 # levels stops before its transfer states fill memory.  On a shared 2-core
-# Xeon with Python 3.11, 1^13 takes 10.9M in about 1 s (0.75 s with --quiet)
-# and (2,1200) 14.0M in about 3 s (2.5-3.0 s), each through the CLI.
+# Xeon with Python 3.11, 1^13 takes 10.9M in about 0.7 s, (1,2,1,2,1,2,1,2,1)
+# 14.3M in about 0.8 s and (2,1200) 14.0M in about 2.1 s, each through the
+# CLI, --quiet or not.
 MAX_ENGINE_WORK = 16_000_000
 _STEP_WORK = 16
 
@@ -138,6 +142,7 @@ def cube_children(sig: Signature) -> list[FiberChild]:
 def transfer_children(mults: tuple[int, ...],
                       spend: Callable[[int], None] = lambda work: None,
                       keys: dict[int, tuple[int, ...]] | None = None,
+                      prefixes: dict[int, dict] | None = None,
                       ) -> dict[tuple[int, ...], int]:
     """The distinct fibers of ``cube_children(Signature(mults))``, keyed by
     their run lengths in reverse normal form, each with the polynomial sum
@@ -159,30 +164,39 @@ def transfer_children(mults: tuple[int, ...],
     code is decoded once, by peeling its runs off the low end, into
     ``keys``: a memo from code to run-length tuple in reverse normal form,
     which the caller may share across the transfers of one evaluation; a
-    fresh one is used when it is None.  ``spend`` is charged _STEP_WORK
-    per step before each block, and may raise to stop the transfer.
+    fresh one is used when it is None.  ``prefixes`` may be shared the same
+    way: per slot width, a trie ``{m: (states after this block, subtrie)}``
+    over the blocks m_1, ..., m_(k-1), so a transfer whose first blocks an
+    earlier one already extended takes their states from it.  A stored
+    states dict is never changed.  ``spend`` is charged _STEP_WORK per step
+    before each block, whether the trie holds the block or not, and may
+    raise to stop the transfer.
     """
     if len(mults) < 2:
         raise ValueError("fibers need at least two distinct levels")
     if keys is None:
         keys = {}
     wb = _slot_width(len(mults))
+    trie = {} if prefixes is None else prefixes.setdefault(wb, {})
     states: dict[int, int] = {0b10: 1}  # empty prefix, no carry
     for m in mults[:-1]:
         spend(_STEP_WORK * 3 * len(states))
-        grown: dict[int, int] = {}
-        get = grown.get
-        for state, weight in states.items():
-            code = state >> 1
-            kept = m - 1 + (state & 1)
-            head = code << kept | 1 if kept else code
-            key = code << kept + 2 | 2           # LOW
-            grown[key] = get(key, 0) + weight
-            key = head << 2 | 2                  # MID: one more cube dimension
-            grown[key] = get(key, 0) + (weight << wb)
-            key = head << 1 | 1                  # HIGH
-            grown[key] = get(key, 0) + weight
-        states = grown
+        step = trie.get(m)
+        if step is None:
+            grown: dict[int, int] = {}
+            get = grown.get
+            for state, weight in states.items():
+                code = state >> 1
+                kept = m - 1 + (state & 1)
+                head = code << kept | 1 if kept else code
+                key = code << kept + 2 | 2           # LOW
+                grown[key] = get(key, 0) + weight
+                key = head << 2 | 2                  # MID: one more cube dimension
+                grown[key] = get(key, 0) + (weight << wb)
+                key = head << 1 | 1                  # HIGH
+                grown[key] = get(key, 0) + weight
+            step = trie[m] = (grown, {})
+        states, trie = step
     children: dict[tuple[int, ...], int] = {}
     last = mults[-1] - 1
     for state, weight in states.items():
@@ -255,8 +269,10 @@ class FaceCountEngine:
         """Cache ``root`` and its uncached descendants, shortest first.
 
         The expansion pass runs the transfer of every uncached node, all
-        through one memo of decoded fiber codes that ends with the call,
-        and charges its steps and the coefficient products its sum will
+        through one memo of decoded fiber codes and one trie of transfer
+        states by block prefix, both ending with the call, so nodes that
+        start with the same blocks extend those states once.  It charges
+        its steps, hit or not, and the coefficient products its sum will
         take against MAX_ENGINE_WORK, so an oversized input stops before
         any polynomial arithmetic.  Every child is one entry shorter than its
         parent, so summing weight * f(child) over the distinct children by
@@ -282,6 +298,7 @@ class FaceCountEngine:
         grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         size = {root: e2(root) + 1}  # coefficient counts, each computed once
         keys: dict[int, tuple[int, ...]] = {}  # fiber codes decoded, per evaluation
+        prefixes: dict[int, dict] = {}  # transfer states by block prefix, per evaluation
         todo = [root]
         while todo:
             mults = todo.pop()
@@ -291,7 +308,7 @@ class FaceCountEngine:
                 # all levels equal: the polytope is a point, whatever the length
                 cache[mults] = IntPoly([1])
                 continue
-            children = grouped[mults] = transfer_children(mults, spend, keys)
+            children = grouped[mults] = transfer_children(mults, spend, keys, prefixes)
             wb = _slot_width(len(mults))
             # one product per slot of a weight and coefficient of its child
             spend(sum(((weight.bit_length() - 1) // wb + 1)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -141,19 +142,30 @@ def fiber_code(runs):
 
 
 def test_shared_key_memo_matches_fresh_transfers():
-    keys, tested = {}, 0
-    for s in range(2, 10):
-        for sig in iter_signatures(s):
-            if sig.k < 2:
-                continue
-            assert transfer_children(sig.mults, keys=keys) == transfer_children(sig.mults), sig
-            tested += 1
-    assert tested == sum(2 ** (s - 1) - 1 for s in range(2, 10))  # 502
+    # one decode memo and one prefix trie shared in a shuffled order, as an
+    # evaluation shares them across its nodes
+    every = [sig.mults for s in range(2, 10) for sig in iter_signatures(s) if sig.k >= 2]
+    assert len(every) == sum(2 ** (s - 1) - 1 for s in range(2, 10))  # 502
+    every += [(2, 1200), (1, 300, 1)]
+    random.Random(22).shuffle(every)
+    keys, prefixes = {}, {}
+    for mults in every:
+        fresh, shared = [], []
+        want = transfer_children(mults, fresh.append)
+        assert transfer_children(mults, shared.append, keys, prefixes) == want, mults
+        assert shared == fresh, mults  # every block is charged, stored or not
     for code, child in keys.items():
         assert all(isinstance(a, int) and a >= 1 for a in child), code
         assert child == min(child, child[::-1]), code
         assert sum(child) == code.bit_length() - 1, code
         assert code in (fiber_code(child), fiber_code(child[::-1])), code
+    stored, tries = 0, list(prefixes.values())
+    while tries:
+        for _, below in tries.pop().values():
+            stored += 1
+            tries.append(below)
+    # each distinct block prefix was extended once: 256 of the 1,796 blocks
+    assert stored == len({mults[:j] for mults in every for j in range(1, len(mults))})
 
 
 def f_by_products(mults, memo):
@@ -222,7 +234,8 @@ def test_word_path_coefficients_stay_below_their_bound():
 
 
 @pytest.mark.parametrize("mults, reached", [
-    ((2, 2400), 16_008_644), ((1,) * 14, 16_014_509), ((3, 3000), 16_017_846)])
+    ((2, 2400), 16_008_644), ((1,) * 14, 16_014_509), ((3, 3000), 16_017_846),
+    ((2, 1, 1, 2, 1, 1, 2, 1, 1, 2), 16_020_046), ((1,) * 16, 16_012_403)])
 def test_budget_error_reports_work_units(mults, reached):
     with pytest.raises(ResourceLimitError,
                        match=rf"MAX_ENGINE_WORK=16000000, {reached} work units reached$") as info:
@@ -232,8 +245,11 @@ def test_budget_error_reports_work_units(mults, reached):
 
 
 def test_thirteen_levels_fit_the_budget():
-    f = FaceCountEngine().f_polynomial(Signature((1,) * 13))
+    eng = FaceCountEngine()
+    f = eng.f_polynomial(Signature((1,) * 13))
     assert f.degree == 78 and f.evaluate(-1) == 1
+    # the decode memo and the prefix trie end with the evaluation
+    assert list(vars(eng)) == ["_cache"]
 
 
 def test_engine_matches_reference_table_up_to_s8():
