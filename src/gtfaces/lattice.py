@@ -155,8 +155,9 @@ def face_lattice(sig: Signature) -> FaceLattice:
     from the polytope into each face's nonempty proper meets with the tight
     sets, which include all of its facets, so a face's dimension is one
     more than the largest among its meets (a vertex has none and gets 0).
-    Only the bitmask -> dimension map is kept; ``FaceLattice.faces`` turns
-    it into ``Face`` objects when first read.
+    One loop over the tight sets finds the meets, with no per-face set; a
+    meet that two of them give is looked up twice and closed once.  Only
+    the bitmask -> dimension map is kept; ``FaceLattice.faces`` reads it.
     """
     vertices = enumerate_vertices(sig)
     table = TriangularTable.from_signature(sig)
@@ -165,16 +166,15 @@ def face_lattice(sig: Signature) -> FaceLattice:
     dims: dict[int, int] = {}
 
     def close(fmask: int) -> int:
-        meets = {fmask & t for t in masks}
-        meets.discard(fmask)
-        meets.discard(0)
         dim = -1
-        for g in meets:
-            d = dims.get(g)
-            if d is None:
-                d = close(g)
-            if d > dim:
-                dim = d
+        for t in masks:
+            g = fmask & t
+            if g and g != fmask:
+                d = dims.get(g)
+                if d is None:
+                    d = close(g)
+                if d > dim:
+                    dim = d
         dims[fmask] = dim + 1
         return dim + 1
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -179,13 +180,19 @@ def test_h_pair_matrix_equals_dense_defining_sum():
 # Every comparison of two family routes goes through checks.family_routes,
 # which compares every route of all three families.  The four per-k tests
 # below each call it at their own k; they keep their names so that every
-# test id of the suite still runs.
+# test id of the suite still runs.  The two that share FAMILY_TEST_KS read
+# one cached result per k, so each of those k runs once.
 FAMILY_TEST_KS = [*range(71), 180, 181, MAX_K]
 
 
 def _assert_family_routes(ks):
     ok, detail = checks.family_routes(ks)
     assert ok, detail
+
+
+@functools.cache
+def _family_routes_at(k):
+    return checks.family_routes([k])
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -200,12 +207,14 @@ def test_coupled_families_match_engine(k):
 
 @pytest.mark.parametrize("k", FAMILY_TEST_KS)
 def test_f_12k3_equals_shifted_h(k):
-    _assert_family_routes([k])
+    ok, detail = _family_routes_at(k)
+    assert ok, detail
 
 
 @pytest.mark.parametrize("k", FAMILY_TEST_KS)
 def test_h_pair_matrix_matches_formulas(k):
-    _assert_family_routes([k])
+    ok, detail = _family_routes_at(k)
+    assert ok, detail
 
 
 def test_h_pair_matrix_in_any_call_order():

@@ -215,7 +215,7 @@ def test_oracle_agrees_with_engine(s):
 def test_oracle_agrees_with_engine_s6_spots(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_S", 6)
     ok, detail = checks.oracle_vs_engine(
-        Signature(m) for m in [(1, 5), (2, 4), (3, 3)])
+        Signature(m) for m in [(1, 5), (2, 4), (3, 3), (1, 2, 3), (2, 2, 2)])
     assert ok, detail
 
 
