@@ -108,7 +108,7 @@ def family_routes(ks: Sequence[int]) -> CheckResult:
     its generating function and its second closed route: ``h_pair_matrix``
     for 123k/223k, and ``f_12k3`` against the shifted h for 12k3."""
     for fam in Family:
-        series = series_coeffs(generating_function(fam), max(ks))
+        series = series_coeffs(generating_function(fam), max(ks, default=0))
         for k in ks:
             closed = family_h(fam, k)
             routes = [("engine", h_polynomial(family_signature(fam, k)), closed),

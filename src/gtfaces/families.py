@@ -20,8 +20,11 @@ Divisions by 1 - s are exact prefix sums, so every computation stays
 inside integer-coefficient polynomials.
 
 ``phi`` is a grow-only memo that importing the module leaves at its two
-seed values.  Products by 1 + t, 1 - s^n or s^n are shifted slice adds on
-coefficient lists, never dense products.
+seed values.  The two Horner walks, ``h_pair_matrix`` and ``f_12k3``, keep
+only their last step, so a walk over k = 0..K costs K + 1 steps in all, not
+one walk from the start per k; importing leaves each at its seed.  Products
+by 1 + t, 1 - s^n or s^n are shifted slice adds on coefficient lists, never
+dense products.
 """
 
 from __future__ import annotations
@@ -91,6 +94,12 @@ def h_12k3(k: int) -> IntPoly:
     return IntPoly(h)
 
 
+# last step of f_12k3's walk as (steps done, A, S), seeded with A_0 = S_1 = 2+t;
+# a stored state is replaced by the next call, never changed in place
+_12K3_START = (0, [2, 1], [2, 1])
+_12k3_last = _12K3_START
+
+
 def f_12k3(k: int) -> IntPoly:
     """f-polynomial of the (1, k, 1) family by unrolling its recurrence:
 
@@ -101,19 +110,25 @@ def f_12k3(k: int) -> IntPoly:
     A_0 = 2+t gives f_k = A_k with A_j = A_(j-1) (1+t)^2 + 2 S_(j+1) - 1,
     since the term equals 2 S_(j+1) - 1 for S_i = f_simplex_i, and
     S_1 = 2+t, S_i = (1+t) S_(i-1) + 1 builds S without binomials.
+
+    Only the last step (k, A_k, S_(k+1)) is kept between calls: a call at a
+    larger k runs just the missing steps from it, one at a smaller k starts
+    again from A_0.  Any order of calls gives the same results.
     """
+    global _12k3_last
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = [2, 1]    # A_0
-    simplex = [2, 1]  # S_1
-    for _ in range(k):
+    last = _12k3_last  # read once: another thread may publish meanwhile
+    done, total, simplex = last if last[0] <= k else _12K3_START
+    for _ in range(k - done):
         simplex = list(map(add, [*simplex, 0], [1, *simplex]))  # (1+t) S + 1
         total = list(map(add, [*total, 0], [0, *total]))
         total = list(map(add, [*total, 0], [0, *total]))         # A (1+t)^2
         n = len(simplex)
         total[:n] = map(add, total[:n], map(add, simplex, simplex))
         total[0] -= 1
-    return IntPoly._of_ints(total)
+    _12k3_last = (k, total, simplex)
+    return IntPoly._of_ints(list(total))
 
 
 def h_123k(k: int) -> IntPoly:
@@ -161,6 +176,13 @@ class HPair:
     h_223k: IntPoly
 
 
+# last step of h_pair_matrix's walk as (steps done, top, bot), seeded with
+# T_(-1) = 0; bot is kept as long as top.  A stored state is replaced by the
+# next call, never changed in place
+_PAIR_START = (0, [0], [0])
+_pair_last = _PAIR_START
+
+
 def h_pair_matrix(k: int) -> HPair:
     """Both coupled h-polynomials at once, through the system matrix
     M = [[s^2+s-1, 1], [s-1, 1]] and g_j = 1 + s + ... + s^j:
@@ -172,11 +194,17 @@ def h_pair_matrix(k: int) -> HPair:
     is T_k / (1 - s), one prefix sum per component.  It reads no phi, so it
     checks the closed forms h_123k / h_223k against the system's own
     recurrence.
+
+    Only the last step T_k is kept between calls: a call at a larger k runs
+    just the missing steps from it, one at a smaller k starts again from
+    T_(-1).  Any order of calls gives the same results.
     """
+    global _pair_last
     if k < 0:
         raise ValueError("k must be >= 0")
-    top, bot = [0], [0]  # T_(-1); bot is kept as long as top
-    for j in range(k + 1):
+    last = _pair_last  # read once: another thread may publish meanwhile
+    done, top, bot = last if last[0] <= k + 1 else _PAIR_START
+    for j in range(done, k + 1):
         # M (top, bot) = (s^2 top + b, b) with b = (s - 1) top + bot
         n = len(top)
         b = [0, *top, 0]
@@ -189,6 +217,7 @@ def h_pair_matrix(k: int) -> HPair:
         top[j + 2] -= 1
         bot[0] += 1
         bot[j + 1] -= 1
+    _pair_last = (k + 1, top, bot)
     return HPair(IntPoly._of_ints(list(accumulate(top))),
                  IntPoly._of_ints(list(accumulate(bot))))
 

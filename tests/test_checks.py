@@ -86,3 +86,9 @@ def _closed_off_at_223k_k2(real):
 def test_family_routes_names_member_and_routes(name, plant, detail, monkeypatch):
     monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
     assert checks.family_routes(checks.FAMILY_CHECK_KS) == (False, detail)
+
+
+def test_family_routes_passes_on_no_k():
+    assert checks.family_routes([]) == (
+        True, "3 families at 0 values of k: engine, series and second closed "
+              "route equal the closed form")

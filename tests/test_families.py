@@ -2,6 +2,8 @@ import functools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtfaces import checks
 from gtfaces.engine import simplex_f_polynomial
@@ -124,18 +126,23 @@ def test_f_12k3_examples():
                                 89, 14, 1)
 
 
-def test_f_12k3_equals_dense_unrolled_sum():
-    # the docstring's unrolled sum, each power of (1+t) formed densely, is
-    # the reference for the Horner form
+@functools.cache
+def dense_f_12k3(k: int) -> IntPoly:
+    """The f_12k3 docstring's unrolled sum, each power of (1+t) formed
+    densely: the reference for the Horner form."""
     def one_plus_t_pow(n):
         return IntPoly([math.comb(n, i) for i in range(n + 1)])
 
+    dense = one_plus_t_pow(2 * k) * IntPoly([2, 1])
+    for j in range(1, k + 1):
+        term = IntPoly([2, 2]) * simplex_f_polynomial(j) + IntPoly([1])
+        dense = dense + one_plus_t_pow(2 * (k - j)) * term
+    return dense
+
+
+def test_f_12k3_equals_dense_unrolled_sum():
     for k in range(40):
-        dense = one_plus_t_pow(2 * k) * IntPoly([2, 1])
-        for j in range(1, k + 1):
-            term = IntPoly([2, 2]) * simplex_f_polynomial(j) + IntPoly([1])
-            dense = dense + one_plus_t_pow(2 * (k - j)) * term
-        assert f_12k3(k) == dense, k
+        assert f_12k3(k) == dense_f_12k3(k), k
 
 
 def test_h_123k_examples():
@@ -160,21 +167,38 @@ def test_h_223k_examples():
     assert h_223k(3).coeffs == (1, 1, 1, 1, 2, 3, 1)
 
 
-def test_h_pair_matrix_equals_dense_defining_sum():
-    # the docstring's defining sum, one dense matrix-vector product per
-    # term, is the reference for the Horner form
+@functools.cache
+def dense_pair(k: int) -> tuple[IntPoly, IntPoly]:
+    """The h_pair_matrix docstring's defining sum, one dense matrix-vector
+    product per term: the reference for the Horner form."""
     def mat_vec(m, v):
         return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
 
     s_plus_1 = IntPoly([1, 1])
+    top, bot = mat_vec(system_matrix_power(k), (s_plus_1, IntPoly([1])))
+    for j in range(1, k + 1):
+        g = geometric(j)
+        inc_top, inc_bot = mat_vec(system_matrix_power(k - j), (s_plus_1 * g, g))
+        top, bot = top + inc_top, bot + inc_bot
+    return top, bot
+
+
+def test_h_pair_matrix_equals_dense_defining_sum():
     for k in range(40):
-        top, bot = mat_vec(system_matrix_power(k), (s_plus_1, IntPoly([1])))
-        for j in range(1, k + 1):
-            g = geometric(j)
-            inc_top, inc_bot = mat_vec(system_matrix_power(k - j), (s_plus_1 * g, g))
-            top, bot = top + inc_top, bot + inc_bot
         pair = h_pair_matrix(k)
-        assert (pair.h_123k, pair.h_223k) == (top, bot), k
+        assert (pair.h_123k, pair.h_223k) == dense_pair(k), k
+
+
+# Both walks keep their last step between calls; the tests above call them
+# upward only, so this one also repeats k, descends and jumps.
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+@example([40, 40, 39, 0, 0, 1, 17, 3, 40])
+def test_walks_resume_in_any_call_order(ks):
+    for k in ks:
+        pair = h_pair_matrix(k)
+        assert (pair.h_123k, pair.h_223k) == dense_pair(k), k
+        assert f_12k3(k) == dense_f_12k3(k), k
 
 
 # Every comparison of two family routes goes through checks.family_routes,
