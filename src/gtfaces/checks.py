@@ -106,17 +106,21 @@ def fiber_decomposition(sigs: Iterable[Signature]) -> CheckResult:
 def family_routes(ks: Sequence[int]) -> CheckResult:
     """Each family's closed form at each k equals the engine, the series of
     its generating function and its second closed route: ``h_pair_matrix``
-    for 123k/223k, and ``f_12k3`` against the shifted h for 12k3."""
-    for fam in Family:
-        series = series_coeffs(generating_function(fam), max(ks, default=0))
-        for k in ks:
+    for 123k/223k, and ``f_12k3`` against the shifted h for 12k3.  k runs
+    outermost, so one ``h_pair_matrix(k)`` serves both coupled families and
+    an ascending ``ks`` walks each Horner route once; the first failing k is
+    reported."""
+    series = {fam: series_coeffs(generating_function(fam), max(ks, default=0))
+              for fam in Family}
+    for k in ks:
+        pair = h_pair_matrix(k)
+        for fam in Family:
             closed = family_h(fam, k)
             routes = [("engine", h_polynomial(family_signature(fam, k)), closed),
-                      ("series", series[k], closed)]
+                      ("series", series[fam][k], closed)]
             if fam is Family.GZ_12K3:
                 routes.append(("f_12k3", f_12k3(k), closed.shift(1)))
             else:
-                pair = h_pair_matrix(k)
                 routes.append(("matrix", pair.h_123k if fam is Family.GZ_123K
                                else pair.h_223k, closed))
             differ = [name for name, got, want in routes if got != want]

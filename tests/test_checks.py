@@ -92,3 +92,17 @@ def test_family_routes_passes_on_no_k():
     assert checks.family_routes([]) == (
         True, "3 families at 0 values of k: engine, series and second closed "
               "route equal the closed form")
+
+
+def test_family_routes_walks_the_matrix_once_per_k(monkeypatch):
+    # one h_pair_matrix(k) serves 123k and 223k, so an ascending ks walks it once
+    seen = []
+    real = checks.h_pair_matrix
+
+    def counted(k):
+        seen.append(k)
+        return real(k)
+
+    monkeypatch.setattr(checks, "h_pair_matrix", counted)
+    assert checks.family_routes(checks.FAMILY_CHECK_KS).ok
+    assert seen == list(checks.FAMILY_CHECK_KS)
