@@ -57,6 +57,7 @@ def test_criterion_03_h_of_123k_at_k3_three_ways():
 
 
 def test_criterion_04_oracle_equals_engine_up_to_s5():
+    # tier-1's only full oracle-vs-engine sweep: do not narrow it
     start = time.perf_counter()
     sigs = list(checks.signatures_up_to(5))
     ok, detail = checks.oracle_vs_engine(sigs)
@@ -97,6 +98,7 @@ def test_criterion_08_fiber_decomposition():
 
 
 def test_criterion_09_property_suite_up_to_s6():
+    # tier-1's only full sweep of these four checks: do not narrow it
     sigs = list(checks.signatures_up_to(6))
     results = [checks.euler(sigs), checks.reversal(sigs),
                checks.dimension_degree(sigs), checks.simplex_shortcut(6)]
