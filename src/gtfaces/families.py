@@ -22,16 +22,17 @@ inside integer-coefficient polynomials.
 ``phi`` is a grow-only memo that importing the module leaves at its two
 seed values.  The two Horner walks, ``h_pair_matrix`` and ``f_12k3``, keep
 only their last step, so a walk over k = 0..K costs K + 1 steps in all, not
-one walk from the start per k; importing leaves each at its seed.  Products
-by 1 + t, 1 - s^n or s^n are shifted slice adds on coefficient lists, never
-dense products.
+one walk from the start per k; importing leaves each at its seed.  No
+route makes a dense product: the walks multiply by 1 + t, 1 - s or s^n as
+shifted slice adds on coefficient lists, and the closed forms ``h_123k``
+and ``h_223k`` add their shifted phi terms column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, sub
 
 from .poly import IntPoly, SeriesRational, z_mul
@@ -135,37 +136,34 @@ def h_123k(k: int) -> IntPoly:
     """h-polynomial of the (1, 1, k) family:
     sum_{j=0..k} (1 + s + ... + s^(j+1)) * phi(k - j + 1).
 
-    Times (1 - s) the j-th term is phi(k - j + 1) (1 - s^(j+2)), so each
-    phi is added in place at offset 0 and subtracted at offset j + 2, and
-    one prefix sum divides the total by 1 - s.
+    Times (1 - s) the j-th term is phi(k - j + 1) (1 - s^(j+2)), so the
+    total is the column sums of the phi at offset 0 minus those of the phi
+    at offset j + 2, and one prefix sum divides it by 1 - s.  Writing
+    i = k - j + 1, both sums take phi(i) for i = 1..k+1 in that order: the
+    terms that are zero in a column come first, so ``sum`` adds them as
+    small ints.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = [0] * (2 * k + 3)
-    for j in range(k + 1):
-        p = phi(k - j + 1).coeffs
-        n = len(p)
-        out[:n] = map(add, out[:n], p)
-        out[j + 2:j + 2 + n] = map(sub, out[j + 2:j + 2 + n], p)
-    return IntPoly._of_ints(list(accumulate(out)))
+    plus = map(sum, zip_longest(*(phi(i).coeffs for i in range(1, k + 2)), fillvalue=0))
+    minus = map(sum, zip_longest(*(chain(repeat(0, k + 3 - i), phi(i).coeffs)
+                                   for i in range(1, k + 2)), fillvalue=0))
+    return IntPoly._of_ints(list(accumulate(map(sub, chain(plus, (0, 0)), minus))))
 
 
 def h_223k(k: int) -> IntPoly:
     """h-polynomial of the (2, k) family:
     sum_{j=0..k} s^(j+2) * phi(k - j)  +  (1 + s + ... + s^k).
 
-    Each term is phi(k - j) added in place at offset j + 2: one pass over
-    its coefficients, where a monomial product and a sum take three."""
+    The terms are added column by column, the ones of 1 + ... + s^k first
+    and then phi(i) at offset k + 2 - i for i = k - j = 0..k, so the terms
+    that are zero in a column come first and ``sum`` adds them as small
+    ints."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = [1] * (k + 1)
-    for j in range(k + 1):
-        p = phi(k - j).coeffs
-        lo, hi = j + 2, j + 2 + len(p)
-        if hi > len(out):
-            out += [0] * (hi - len(out))
-        out[lo:hi] = map(add, out[lo:hi], p)
-    return IntPoly._of_ints(out)
+    columns = zip_longest(repeat(1, k + 1), *(chain(repeat(0, k + 2 - i), phi(i).coeffs)
+                                             for i in range(k + 1)), fillvalue=0)
+    return IntPoly._of_ints(list(map(sum, columns)))
 
 
 @dataclass(frozen=True)

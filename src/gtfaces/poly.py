@@ -14,8 +14,8 @@ machinery here needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, mul, neg, sub
+from itertools import accumulate, compress, repeat
+from operator import add, floordiv, mul, neg, sub
 from operator import index as _as_int
 from typing import Iterable, Sequence
 
@@ -128,19 +128,23 @@ class IntPoly:
     def shift(self, c: int) -> "IntPoly":
         """Return g with g(x) = self(x + c), expanded exactly.
 
-        Horner in the polynomial ring: feed coefficients top-down into
-        repeated multiplication by (x + c), one whole-list update per
-        coefficient; for c = +-1 (h <-> f) the update is a bare add or sub.
+        Shaw-Traub: with b_d = a_d c^d, g_d = e_d / c^d where e is the
+        shift of b by 1.  That shift is prefix-sum passes over b reversed:
+        after each ``accumulate`` pass the last entry is final, so it is
+        popped and the next pass runs over the rest.  For c = +-1 the
+        scaling is nothing or a sign flip, undone by the same product.
         """
-        op = add if c >= 0 else sub
-        step = abs(c)
-        res: list[int] = []
-        for a in reversed(self.coeffs):
-            # res * (x + c) + a: coefficient d is res[d-1] + c res[d] (+ a at d = 0)
-            res.append(0)
-            times_c = res if step == 1 else map(mul, res, repeat(step))
-            res = list(map(op, [a, *res], times_c))
-        return IntPoly._of_ints(res)
+        if not c:
+            return self
+        cs = self.coeffs
+        powers = list(accumulate(repeat(c, len(cs) - 1), mul, initial=1))
+        rest = list(map(mul, reversed(cs), reversed(powers)))
+        out: list[int] = []
+        while rest:
+            rest = list(accumulate(rest))
+            out.append(rest.pop())
+        unscale = mul if c in (1, -1) else floordiv
+        return IntPoly._of_ints(list(map(unscale, out, powers)))
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
@@ -181,15 +185,28 @@ def series_coeffs(r: SeriesRational, k_max: int) -> list[IntPoly]:
     """First k_max + 1 coefficients of the power-series expansion of r in z.
 
     With den_0 = 1 the coefficients satisfy num_m = sum_j den_j * coeff_{m-j},
-    so coeff_m = num_m - sum_{j>=1} den_j * coeff_{m-j}, all exact.
+    so coeff_m = num_m - sum_{j>=1} den_j * coeff_{m-j}, all exact.  The sum
+    runs on coefficient lists: each nonzero term c s^d of a den_j is one
+    in-place slice update of coeff_m at offset d, a bare add or sub for
+    c = +-1.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     num, den = r.numerator, r.denominator
+    # (j, d, op, |c|) for each c s^d of den_j, j ascending: subtracting c q
+    # is op(acc, |c| q)
+    terms = [(j, d, sub if c > 0 else add, abs(c))
+             for j in range(1, len(den)) for d, c in enumerate(den[j].coeffs) if c]
     out: list[IntPoly] = []
     for m in range(k_max + 1):
-        acc = num[m] if m < len(num) else IntPoly()
-        for j in range(1, min(m, len(den) - 1) + 1):
-            acc = acc - den[j] * out[m - j]
-        out.append(acc)
+        acc = list(num[m].coeffs) if m < len(num) else []
+        for j, d, op, a in terms:
+            if j > m:
+                break
+            q = out[m - j].coeffs
+            hi = d + len(q)
+            if hi > len(acc):
+                acc += repeat(0, hi - len(acc))
+            acc[d:hi] = map(op, acc[d:hi], q if a == 1 else map(mul, q, repeat(a)))
+        out.append(IntPoly._of_ints(acc))
     return out

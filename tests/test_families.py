@@ -153,7 +153,7 @@ def test_h_123k_examples():
 
 def test_h_123k_equals_dense_defining_sum():
     # the docstring's defining sum, one dense product per term, is the
-    # reference for the prefix-sum form
+    # reference for the column-sum form
     for k in range(40):
         dense = IntPoly()
         for j in range(k + 1):
@@ -165,6 +165,16 @@ def test_h_223k_examples():
     assert h_223k(0).coeffs == (1,)
     assert h_223k(1).coeffs == (1, 1, 1)
     assert h_223k(3).coeffs == (1, 1, 1, 1, 2, 3, 1)
+
+
+def test_h_223k_equals_dense_defining_sum():
+    # the docstring's defining sum, one dense product per term, is the
+    # reference for the column-sum form
+    for k in range(40):
+        dense = geometric(k)
+        for j in range(k + 1):
+            dense = dense + IntPoly.monomial(j + 2) * phi(k - j)
+        assert h_223k(k) == dense, k
 
 
 @functools.cache

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtfaces.families import Family, generating_function
 from gtfaces.poly import IntPoly, SeriesRational, series_coeffs, z_mul
 
 int_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
@@ -163,6 +164,28 @@ def test_shift_matches_schoolbook(f, c):
     assert f.shift(c).coeffs == schoolbook_shift(f.coeffs, c)
 
 
+def _family_sized(n):
+    """n coefficients with runs of zeros and entries of +-10^40, the top one
+    nonzero."""
+    pattern = (10 ** 40, 0, 0, 0, -(10 ** 40), 7, 0, -1, 0, 0, 0, 0, 0, 3)
+    cs = [pattern[i % len(pattern)] for i in range(n)]
+    if cs:
+        cs[-1] = -(10 ** 40)
+    return IntPoly(cs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 150, 600])
+def test_shift_matches_schoolbook_at_family_sizes(n):
+    # hypothesis operands stop at 12 coefficients; a family f at k = 300
+    # has about 600
+    f = _family_sized(n)
+    assert len(f.coeffs) == n
+    for c in (-(10 ** 12), -3, -1, 0, 1, 2):
+        g = f.shift(c)
+        assert g.coeffs == schoolbook_shift(f.coeffs, c), c
+        assert g.shift(-c) == f, c
+
+
 @given(int_polys, int_polys, int_polys)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -191,6 +214,36 @@ def _gf_like_series(num_coeffs):
     ):
         den = z_mul(den, factor)
     return SeriesRational(tuple(num_coeffs), den)
+
+
+def reference_series_coeffs(r, k_max):
+    """The recurrence coeff_m = num_m - sum_{j>=1} den_j * coeff_{m-j} with
+    one IntPoly product per term: the reference for series_coeffs' slice
+    updates."""
+    num, den = r.numerator, r.denominator
+    out = []
+    for m in range(k_max + 1):
+        acc = num[m] if m < len(num) else IntPoly()
+        for j in range(1, min(m, len(den) - 1) + 1):
+            acc = acc - den[j] * out[m - j]
+        out.append(acc)
+    return out
+
+
+small_polys = st.lists(st.integers(-4, 4), max_size=4).map(IntPoly)
+
+
+@given(st.lists(st.lists(coefficients, max_size=4).map(IntPoly), max_size=4),
+       st.lists(small_polys, max_size=4), st.integers(0, 12))
+def test_series_coeffs_match_product_recurrence(num, den_tail, k):
+    r = SeriesRational(tuple(num), (IntPoly([1]), *den_tail))
+    assert series_coeffs(r, k) == reference_series_coeffs(r, k)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_series_coeffs_match_product_recurrence_on_families(family):
+    r = generating_function(family)
+    assert series_coeffs(r, 70) == reference_series_coeffs(r, 70)
 
 
 def test_series_coeffs_examples():
