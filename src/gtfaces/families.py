@@ -138,16 +138,17 @@ def h_123k(k: int) -> IntPoly:
 
     Times (1 - s) the j-th term is phi(k - j + 1) (1 - s^(j+2)), so the
     total is the column sums of the phi at offset 0 minus those of the phi
-    at offset j + 2, and one prefix sum divides it by 1 - s.  Writing
-    i = k - j + 1, both sums take phi(i) for i = 1..k+1 in that order: the
-    terms that are zero in a column come first, so ``sum`` adds them as
-    small ints.
+    at offset j + 2, and one prefix sum divides it by 1 - s.  Both sums
+    take the terms from j = k down to 0, phi(1) to phi(k + 1), which puts
+    the zeros of each column first, where ``sum`` still adds machine-size
+    ints.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    plus = map(sum, zip_longest(*(phi(i).coeffs for i in range(1, k + 2)), fillvalue=0))
-    minus = map(sum, zip_longest(*(chain(repeat(0, k + 3 - i), phi(i).coeffs)
-                                   for i in range(1, k + 2)), fillvalue=0))
+    terms = [phi(i).coeffs for i in range(1, k + 2)]
+    plus = map(sum, zip_longest(*terms, fillvalue=0))
+    minus = map(sum, zip_longest(*(chain(repeat(0, k + 2 - i), p) for i, p in enumerate(terms)),
+                                 fillvalue=0))
     return IntPoly._of_ints(list(accumulate(map(sub, chain(plus, (0, 0)), minus))))
 
 
@@ -155,9 +156,9 @@ def h_223k(k: int) -> IntPoly:
     """h-polynomial of the (2, k) family:
     sum_{j=0..k} s^(j+2) * phi(k - j)  +  (1 + s + ... + s^k).
 
-    The terms are added column by column, the ones of 1 + ... + s^k first
-    and then phi(i) at offset k + 2 - i for i = k - j = 0..k, so the terms
-    that are zero in a column come first and ``sum`` adds them as small
+    The terms are added column by column: the ones of 1 + ... + s^k, then
+    phi(i), i = k - j, at offset k + 2 - i for i = 0..k, which puts the
+    zeros of each column first, where ``sum`` still adds machine-size
     ints."""
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -3,12 +3,12 @@
 ``IntPoly`` stores one univariate polynomial as a dense coefficient tuple
 (index = degree); the zero polynomial is the empty tuple, so the top
 coefficient of a nonzero polynomial is never zero.  Its arithmetic works
-on whole coefficient slices through ``map`` and ``operator``, so the
-per-coefficient loops run in C; ``tests/test_poly.py`` keeps the
-schoolbook loops as references.  ``SeriesRational``
-expands rational functions in z whose coefficients are themselves
-polynomials in a second variable, which is all the generating-function
-machinery here needs.
+on whole coefficient slices through ``map``, ``accumulate`` and
+``operator``, so the per-coefficient loops run in C; ``tests/test_poly.py``
+keeps the schoolbook loops as references.  ``SeriesRational`` expands
+rational functions in z whose coefficients are themselves polynomials in a
+second variable, which is all the generating-function machinery here
+needs.
 """
 
 from __future__ import annotations
