@@ -230,11 +230,9 @@ def reference_series_coeffs(r, k_max):
     return out
 
 
-small_polys = st.lists(st.integers(-4, 4), max_size=4).map(IntPoly)
-
-
 @given(st.lists(st.lists(coefficients, max_size=4).map(IntPoly), max_size=4),
-       st.lists(small_polys, max_size=4), st.integers(0, 12))
+       st.lists(st.lists(st.integers(-4, 4), max_size=4).map(IntPoly), max_size=4),
+       st.integers(0, 12))
 def test_series_coeffs_match_product_recurrence(num, den_tail, k):
     r = SeriesRational(tuple(num), (IntPoly([1]), *den_tail))
     assert series_coeffs(r, k) == reference_series_coeffs(r, k)
