@@ -39,6 +39,14 @@ words are the terms of the sum, and the node's words are unpacked once at
 the end.  Longer nodes, whose coefficients may outgrow a word, add
 each slot times the child's coefficients into a coefficient list.  The one
 ``IntPoly`` built per node is the finished polynomial.
+
+The recurrence is linear, so it also holds at t = x + c:
+f(x + c) = sum over A of (x + c)^dim(A) * f_fiber(A)(x + c).  An engine
+built with shift c caches f(x + c) for each node and only its sum changes:
+each weight's slots are Taylor-shifted once per evaluation, and every node
+takes the coefficient list, as a shifted polynomial may have negative
+coefficients, which the word path cannot hold.  ``h_polynomial`` runs its
+own engine at c = -1, so h(s) = f(s - 1) never shifts a finished node.
 """
 
 from __future__ import annotations
@@ -240,6 +248,19 @@ def _unpack_words(packed: int, n: int) -> list[int]:
     return words.tolist()
 
 
+def _shift_slots(slots: list[int], c: int) -> list[int]:
+    """The coefficients of sum_j slots[j] (x + c)^j, by Horner's rule."""
+    if not c:
+        return slots
+    out: list[int] = []
+    for w in reversed(slots):
+        out.append(0)  # out * (x + c) + w, from the top coefficient down
+        for i in range(len(out) - 1, 0, -1):
+            out[i] = out[i - 1] + c * out[i]
+        out[0] = c * out[0] + w
+    return out
+
+
 def simplex_f_polynomial(m: int) -> IntPoly:
     """f-polynomial of an m-simplex: sum_d C(m+1, d+1) t^d."""
     if m < 0:
@@ -248,18 +269,19 @@ def simplex_f_polynomial(m: int) -> IntPoly:
 
 
 class FaceCountEngine:
-    """Memoized evaluator of the cube-projection recurrence.
+    """Memoized evaluator of the cube-projection recurrence at t = x + shift.
 
     The cache maps run-length tuples in reverse normal form to finished
-    polynomials.
+    polynomials f(x + shift); shift = -1 gives h-polynomials.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, shift: int = 0) -> None:
         self._cache: dict[tuple[int, ...], IntPoly] = {}
+        self._shift = shift
 
     def f_polynomial(self, sig: Signature) -> IntPoly:
-        """Exact f-polynomial: coefficient of t^d counts d-dimensional faces,
-        the polytope itself included."""
+        """f(x + shift), where the coefficient of t^d in f counts
+        d-dimensional faces, the polytope itself included."""
         key = min(sig.mults, sig.mults[::-1])
         if key not in self._cache:
             self._evaluate(key)
@@ -276,12 +298,13 @@ class FaceCountEngine:
         take against MAX_ENGINE_WORK, so an oversized input stops before
         any polynomial arithmetic.  Every child is one entry shorter than its
         parent, so summing weight * f(child) over the distinct children by
-        ascending length finds each child's polynomial already cached.  A
-        node with total length at most _WORD_PATH_MAX_S adds the big-int
-        product of each packed weight and its child's coefficients packed
-        the same way, then unpacks its words; a longer node's sum is one
-        list of coefficients: each nonzero slot w_j of a packed weight adds
-        w_j * f(child) into it, shifted by j.
+        ascending length finds each child's polynomial already cached.  On
+        an unshifted engine a node with total length at most
+        _WORD_PATH_MAX_S adds the big-int product of each packed weight and
+        its child's coefficients packed the same way, then unpacks its
+        words.  Every other node's sum is one list of coefficients: each
+        nonzero slot w_j of a weight W(x + shift), unpacked and shifted once
+        per distinct weight, adds w_j * f(child) into it, shifted by j.
         """
         used = 0
 
@@ -315,9 +338,11 @@ class FaceCountEngine:
                       * (size.get(child) or size.setdefault(child, e2(child) + 1))
                       for child, weight in children.items()))
             todo.extend(children)
+        shift = self._shift
         words: dict[tuple[int, ...], int] = {}  # children packed for the word path
+        slotted: dict[int, dict[int, list[int]]] = {}  # weights' shifted slots, per evaluation
         for mults in sorted(grouped, key=sum):
-            if sum(mults) <= _WORD_PATH_MAX_S:
+            if not shift and sum(mults) <= _WORD_PATH_MAX_S:
                 acc = 0
                 for child, weight in grouped[mults].items():
                     f = words.get(child)
@@ -328,24 +353,26 @@ class FaceCountEngine:
                 continue
             wb = _slot_width(len(mults))
             mask = (1 << wb) - 1
+            memo = slotted.setdefault(wb, {})
             acc = [0] * size[mults]
             for child, weight in grouped[mults].items():
                 f = cache[child].coeffs
-                j = 0
-                while weight:
-                    c = weight & mask
+                slots = memo.get(weight)
+                if slots is None:
+                    slots = memo[weight] = _shift_slots(
+                        [weight >> i & mask for i in range(0, weight.bit_length(), wb)], shift)
+                for j, c in enumerate(slots):
                     if c == 1:
                         for i, a in enumerate(f, j):
                             acc[i] += a
                     elif c:
                         for i, a in enumerate(f, j):
                             acc[i] += c * a
-                    weight >>= wb
-                    j += 1
             cache[mults] = IntPoly._of_ints(acc)
 
 
 _DEFAULT_ENGINE = FaceCountEngine()
+_H_ENGINE = FaceCountEngine(-1)
 
 
 def f_polynomial(sig: Signature) -> IntPoly:
@@ -354,5 +381,7 @@ def f_polynomial(sig: Signature) -> IntPoly:
 
 
 def h_polynomial(sig: Signature) -> IntPoly:
-    """h-polynomial via the shared default engine: h(s) = f(s - 1)."""
-    return _DEFAULT_ENGINE.f_polynomial(sig).shift(-1)
+    """h-polynomial h(s) = f(s - 1), from the shared engine that runs the
+    recurrence at t = s - 1; it keeps its own memo, apart from
+    ``f_polynomial``'s."""
+    return _H_ENGINE.f_polynomial(sig)

@@ -308,6 +308,16 @@ def test_quiet_human(capsys):
     assert out == "f-vector: 7 11 6 1\nh-vector: 1 2 3 1\n"
 
 
+def test_f_runs_the_engine_once(capsys, monkeypatch):
+    from gtfaces import engine
+
+    # h is the Taylor shift of the command's own f, not a second evaluation
+    monkeypatch.setattr(engine, "_H_ENGINE", engine.FaceCountEngine(-1))
+    code, out, _ = run(capsys, "f", "--signature", "1,1,1", "--quiet")
+    assert (code, out) == (0, "f-vector: 7 11 6 1\nh-vector: 1 2 3 1\n")
+    assert not engine._H_ENGINE._cache
+
+
 def test_engine_budget_exits_3(capsys, monkeypatch):
     from gtfaces import engine
 

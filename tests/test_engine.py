@@ -237,19 +237,38 @@ def test_word_path_coefficients_stay_below_their_bound():
     ((2, 2400), 16_008_644), ((1,) * 14, 16_014_509), ((3, 3000), 16_017_846),
     ((2, 1, 1, 2, 1, 1, 2, 1, 1, 2), 16_020_046), ((1,) * 16, 16_012_403)])
 def test_budget_error_reports_work_units(mults, reached):
-    with pytest.raises(ResourceLimitError,
-                       match=rf"MAX_ENGINE_WORK=16000000, {reached} work units reached$") as info:
-        FaceCountEngine().f_polynomial(Signature(mults))
-    exc = info.value
-    assert (exc.budget, exc.limit, exc.reached) == ("MAX_ENGINE_WORK", 16_000_000, reached)
+    # the shifted engine charges the same work: deg W(x + c) = deg W
+    for shift in (0, -1):
+        with pytest.raises(ResourceLimitError, match=rf"MAX_ENGINE_WORK=16000000, "
+                                                     rf"{reached} work units reached$") as info:
+            FaceCountEngine(shift).f_polynomial(Signature(mults))
+        exc = info.value
+        assert (exc.budget, exc.limit, exc.reached) == ("MAX_ENGINE_WORK", 16_000_000, reached)
 
 
 def test_thirteen_levels_fit_the_budget():
     eng = FaceCountEngine()
     f = eng.f_polynomial(Signature((1,) * 13))
     assert f.degree == 78 and f.evaluate(-1) == 1
-    # the decode memo and the prefix trie end with the evaluation
-    assert list(vars(eng)) == ["_cache"]
+    # the decode memo, the prefix trie and the slot memo end with the evaluation
+    assert list(vars(eng)) == ["_cache", "_shift"]
+
+
+def test_shifted_engine_matches_shifted_f():
+    # every composition with s <= 10, each on cold engines: the h engine runs
+    # the list path at every node, the f engine the word path up to s = 9
+    sigs = [sig for s in range(1, 11) for sig in iter_signatures(s)]
+    assert len(sigs) == 2 ** 10 - 1
+    for sig in sigs:
+        assert FaceCountEngine(-1).f_polynomial(sig) == \
+            FaceCountEngine().f_polynomial(sig).shift(-1), sig
+
+
+@pytest.mark.parametrize("shift", [-3, 1, 2])
+def test_any_shift_matches_shifted_f(shift):
+    eng, ref = FaceCountEngine(shift), FaceCountEngine()
+    for sig in (Signature(m) for m in ((1, 1, 1), (2, 3), (1, 2, 1, 2), (1,) * 7, (3, 40))):
+        assert eng.f_polynomial(sig) == ref.f_polynomial(sig).shift(shift), sig
 
 
 def test_engine_matches_reference_table_up_to_s8():
