@@ -54,7 +54,8 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _vector_strings(p: IntPoly, length: int) -> list[str]:
-    return [str(p.coeff(d)) for d in range(length)]
+    out = list(map(str, p.coeffs[:length]))
+    return out + ["0"] * (length - len(out))
 
 
 def _record(echo: dict[str, str], sig: Signature, f: IntPoly, h: IntPoly,

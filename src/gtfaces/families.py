@@ -19,20 +19,25 @@ generating functions; ``h_pair_matrix`` iterates M itself instead.
 Divisions by 1 - s are exact prefix sums, so every computation stays
 inside integer-coefficient polynomials.
 
+The closed forms are sums of k + 1 phi terms that collapse to at most two.
+With P_n = phi(0) + ... + phi(n) and Q_n = sum_{i<=n} s^(n-i) phi(i),
+phi's recurrence summed over i = 1..n gives
+(1 - s) P_n = 1 - phi(n+1) + s^2 phi(n), and by induction on n with
+Q_n = s Q_(n-1) + phi(n) it gives s (s - 1) Q_n = phi(n+1) - s phi(n) - s^n.
+
 ``phi`` is a grow-only memo that importing the module leaves at its two
 seed values.  The two Horner walks, ``h_pair_matrix`` and ``f_12k3``, keep
 only their last step, so a walk over k = 0..K costs K + 1 steps in all, not
 one walk from the start per k; importing leaves each at its seed.  No
-route makes a dense product: the walks multiply by 1 + t, 1 - s or s^n as
-shifted slice adds on coefficient lists, and the closed forms ``h_123k``
-and ``h_223k`` add their shifted phi terms column by column.
+route makes a dense product: phi's step and the walks multiply by s^n,
+1 + t or 1 - s as shifted slice adds on coefficient lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, chain, repeat
 from operator import add, sub
 
 from .poly import IntPoly, SeriesRational, z_mul
@@ -59,13 +64,13 @@ class PhiSequence:
     def __call__(self, k: int) -> IntPoly:
         if k < 0:
             raise ValueError("phi is defined for k >= 0 only")
-        if k < len(self._cache):
-            return self._cache[k]
-        b = IntPoly([0, 1, 1])    # s^2 + s
-        a = IntPoly([0, 0, -1])   # -s^2
-        while len(self._cache) <= k:
-            self._cache.append(b * self._cache[-1] + a * self._cache[-2])
-        return self._cache[k]
+        cache = self._cache
+        while len(cache) <= k:
+            p, q = cache[-1].coeffs, cache[-2].coeffs
+            nxt = list(map(add, [0, *p, 0], [0, 0, *p]))        # (s^2 + s) phi(k)
+            nxt[2:len(q) + 2] = map(sub, nxt[2:len(q) + 2], q)  # - s^2 phi(k-1)
+            cache.append(IntPoly._of_ints(nxt))
+        return cache[k]
 
 
 phi = PhiSequence()
@@ -137,35 +142,29 @@ def h_123k(k: int) -> IntPoly:
     """h-polynomial of the (1, 1, k) family:
     sum_{j=0..k} (1 + s + ... + s^(j+1)) * phi(k - j + 1).
 
-    Times (1 - s) the j-th term is phi(k - j + 1) (1 - s^(j+2)), so the
-    total is the column sums of the phi at offset 0 minus those of the phi
-    at offset j + 2, and one prefix sum divides it by 1 - s.  Both sums
-    take the terms from j = k down to 0, phi(1) to phi(k + 1), which puts
-    the zeros of each column first, where ``sum`` still adds machine-size
-    ints.
+    Times (1 - s) the j-th term is phi(k - j + 1) (1 - s^(j+2)), so the sum
+    is P_(k+1) - s^2 Q_(k+1) (module docstring), which collapses to
+    (1 - s) h = (1 + s + ... + s^(k+1)) - phi(k + 2); one prefix sum
+    divides by 1 - s.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    terms = [phi(i).coeffs for i in range(1, k + 2)]
-    plus = map(sum, zip_longest(*terms, fillvalue=0))
-    minus = map(sum, zip_longest(*(chain(repeat(0, k + 2 - i), p) for i, p in enumerate(terms)),
-                                 fillvalue=0))
-    return IntPoly._of_ints(list(accumulate(map(sub, chain(plus, (0, 0)), minus))))
+    return IntPoly._of_ints(list(accumulate(map(sub, chain(repeat(1, k + 2), repeat(0)),
+                                                phi(k + 2).coeffs))))
 
 
 def h_223k(k: int) -> IntPoly:
     """h-polynomial of the (2, k) family:
     sum_{j=0..k} s^(j+2) * phi(k - j)  +  (1 + s + ... + s^k).
 
-    The terms are added column by column: the ones of 1 + ... + s^k, then
-    phi(i), i = k - j, at offset k + 2 - i for i = 0..k, which puts the
-    zeros of each column first, where ``sum`` still adds machine-size
-    ints."""
+    The phi terms are s^2 Q_k (module docstring), so (1 - s) h =
+    1 + s^2 phi(k) - s phi(k + 1); one prefix sum divides by 1 - s.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    columns = zip_longest(repeat(1, k + 1), *(chain(repeat(0, k + 2 - i), phi(i).coeffs)
-                                             for i in range(k + 1)), fillvalue=0)
-    return IntPoly._of_ints(list(map(sum, columns)))
+    # map stops at the shorter operand, after index 2k = deg h (1 at k = 0)
+    return IntPoly._of_ints(list(accumulate(map(sub, chain((1, 0), phi(k).coeffs),
+                                                chain((0,), phi(k + 1).coeffs)))))
 
 
 @dataclass(frozen=True)

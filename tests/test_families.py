@@ -27,7 +27,8 @@ def test_phi_values():
 def test_phi_recurrence_and_degree():
     b = IntPoly([0, 1, 1])
     a = IntPoly([0, 0, -1])
-    for k in range(1, 21):
+    # up to phi(MAX_K + 2), the largest phi a family closed form reads
+    for k in range(1, MAX_K + 2):
         assert phi(k + 1) == b * phi(k) + a * phi(k - 1)
         assert phi(k).degree == 2 * k - 2
         assert phi(k).evaluate(1) == k
@@ -153,8 +154,8 @@ def test_h_123k_examples():
 
 def test_h_123k_equals_dense_defining_sum():
     # the docstring's defining sum, one dense product per term, is the
-    # reference for the column-sum form
-    for k in range(40):
+    # reference for the collapsed form
+    for k in range(71):
         dense = IntPoly()
         for j in range(k + 1):
             dense = dense + geometric(j + 1) * phi(k - j + 1)
@@ -169,8 +170,8 @@ def test_h_223k_examples():
 
 def test_h_223k_equals_dense_defining_sum():
     # the docstring's defining sum, one dense product per term, is the
-    # reference for the column-sum form
-    for k in range(40):
+    # reference for the collapsed form
+    for k in range(71):
         dense = geometric(k)
         for j in range(k + 1):
             dense = dense + IntPoly.monomial(j + 2) * phi(k - j)
