@@ -40,7 +40,7 @@ from enum import Enum
 from itertools import accumulate, chain, repeat
 from operator import add, sub
 
-from .poly import IntPoly, SeriesRational, z_mul
+from .poly import IntPoly, SeriesRational
 from .signatures import Signature
 
 # largest family parameter the CLI accepts, sized when the slowest command it
@@ -225,9 +225,10 @@ def generating_function(family: Family | str) -> SeriesRational:
     """Rational series in z whose z^k coefficient is the family's h-polynomial.
 
     Numerators: (s + 1) + s^2 z - s^2 z^2 for the 12k3 family, (s + 1) - s z
-    for 123k and 1 - s z for 223k.  Every denominator is (1 - z)(1 - s z)
-    times a kernel: 1 - s^2 z for 12k3, 1 - (s^2+s) z + s^2 z^2 (phi's
-    recurrence) for the coupled pair.
+    for 123k and 1 - s z for 223k.  Every denominator is returned as its
+    three factors, in this order: 1 - z, 1 - s z and a kernel, 1 - s^2 z for
+    12k3 and 1 - (s^2+s) z + s^2 z^2 (phi's recurrence) for the coupled
+    pair; ``SeriesRational.denominator`` multiplies them out.
     """
     fam = Family(family)
     if fam is Family.GZ_12K3:
@@ -236,12 +237,9 @@ def generating_function(family: Family | str) -> SeriesRational:
     else:
         num = (IntPoly([1, 1] if fam is Family.GZ_123K else [1]), IntPoly([0, -1]))
         kernel = (IntPoly([1]), IntPoly([0, -1, -1]), IntPoly([0, 0, 1]))  # 1 - (s^2+s) z + s^2 z^2
-    den: tuple[IntPoly, ...] = (IntPoly([1]),)
-    for factor in ((IntPoly([1]), IntPoly([-1])),      # 1 - z
-                   (IntPoly([1]), IntPoly([0, -1])),   # 1 - s z
-                   kernel):
-        den = z_mul(den, factor)
-    return SeriesRational(num, den)
+    return SeriesRational(num, ((IntPoly([1]), IntPoly([-1])),      # 1 - z
+                                (IntPoly([1]), IntPoly([0, -1])),   # 1 - s z
+                                kernel))
 
 
 def family_signature(family: Family | str, k: int) -> Signature:

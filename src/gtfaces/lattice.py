@@ -5,16 +5,16 @@ Everything here is exact integer arithmetic.  Each constraint says one
 table entry is at most another.  An integer table is a vertex iff every
 cell equals one of its two upper neighbours (the De Loera-McAllister tiling
 criterion, read at a single point), so a depth-first search that gives
-each cell only those values finds exactly the vertices.  Faces are the
-closures of constraint tight sets under intersection, identified by their
-vertex sets (the vertex-facet incidence closure of Kaibel and Pfetsch).
-One recursive pass closes them and gives each face its dimension by lattice
-rank: every facet of a face F is F meet some tight set, so dim F is one
-more than the largest dimension among those meets, and a vertex has
-dimension 0.  The lattice keeps each face as a vertex bitmask with its
-dimension, and the projection check reads those bitmasks too; ``Face``
-objects, with their vertex index tuples, are built only when
-``FaceLattice.faces`` is read.  ``tests/test_lattice.py`` checks the
+each cell only those values finds exactly the vertices.  The facets are
+the maximal proper constraint tight sets, and the faces are their closure
+under intersection, identified by their vertex sets (the vertex-facet
+incidence closure of Kaibel and Pfetsch).  One recursive pass closes them
+and gives each face its dimension by lattice rank: every facet of a face F
+is F meet some facet of the polytope, so dim F is one more than the
+largest dimension among those meets, and a vertex has dimension 0.  The
+lattice keeps each face as a vertex bitmask with its dimension, and the
+projection check reads those bitmasks too; ``Face`` objects, with their
+vertex index tuples, are built only when ``FaceLattice.faces`` is read.  ``tests/test_lattice.py`` checks the
 vertices against a free-chain count at every integer point and against
 exact integer rank, the face dimensions against exact rank, and the whole
 lattice against a plainer two-pass closure.
@@ -145,32 +145,43 @@ def _tight_masks(table: TriangularTable,
             for lo, hi in table.constraints]
 
 
+def _facets(tight: Sequence[int], full: int) -> tuple[int, ...]:
+    """The facets among the tight sets ``tight`` of a polytope with vertex
+    mask ``full``, ascending: the proper nonempty tight masks that no other
+    proper tight mask contains.  Every facet is a tight set, and every
+    proper tight set is a face, which lies in some facet."""
+    proper = set(tight) - {0, full}
+    return tuple(sorted(t for t in proper
+                        if not any(t != u and t & u == t for u in proper)))
+
+
 def face_lattice(sig: Signature) -> FaceLattice:
     """Complete face lattice, the polytope included, the empty face excluded.
 
-    Every facet appears among the constraint tight sets, every face is an
-    intersection of facets, and intersections of faces are faces; closing
-    the tight sets under intersection therefore enumerates exactly the
-    faces, each identified by its vertex bitmask.  The closure recurses
-    from the polytope into each face's nonempty proper meets with the tight
-    sets, which include all of its facets, so a face's dimension is one
-    more than the largest among its meets (a vertex has none and gets 0).
-    One loop over the tight sets finds the meets, with no per-face set; a
-    meet that two of them give is looked up twice and closed once.  Only
-    the bitmask -> dimension map is kept; ``FaceLattice.faces`` reads it.
+    Every facet appears among the constraint tight sets as a maximal proper
+    one, every face is an intersection of facets, and intersections of
+    faces are faces; closing the facets under intersection therefore
+    enumerates exactly the faces, each identified by its vertex bitmask.
+    The closure recurses from the polytope into each face's nonempty proper
+    meets with the facets.  Every facet of a face F is F met with a facet of
+    the polytope, so a face's dimension is one more than the largest among
+    its meets (a vertex has none and gets 0).  One loop over the facets
+    finds the meets, with no per-face set; a meet that two of them give is
+    looked up twice and closed once.  Only the bitmask -> dimension map is
+    kept; ``FaceLattice.faces`` reads it.
     """
     vertices = enumerate_vertices(sig)
-    table = TriangularTable.from_signature(sig)
     full = (1 << len(vertices)) - 1
-    masks = set(_tight_masks(table, vertices)) - {0, full}
+    facets = _facets(_tight_masks(TriangularTable.from_signature(sig), vertices), full)
     dims: dict[int, int] = {}
+    get = dims.get
 
     def close(fmask: int) -> int:
         dim = -1
-        for t in masks:
+        for t in facets:
             g = fmask & t
             if g and g != fmask:
-                d = dims.get(g)
+                d = get(g)
                 if d is None:
                     d = close(g)
                 if d > dim:

@@ -5,10 +5,11 @@
 coefficient of a nonzero polynomial is never zero.  Its arithmetic works
 on whole coefficient slices through ``map``, ``accumulate`` and
 ``operator``, so the per-coefficient loops run in C; ``tests/test_poly.py``
-keeps the schoolbook loops as references.  ``SeriesRational`` expands
-rational functions in z whose coefficients are themselves polynomials in a
-second variable, which is all the generating-function machinery here
-needs.
+keeps the schoolbook loops as references.  ``SeriesRational`` holds a
+rational function in z whose coefficients are themselves polynomials in a
+second variable, with its denominator kept as a product of short factors,
+and ``series_coeffs`` expands it by dividing by one factor at a time; that
+is all the generating-function machinery here needs.
 """
 
 from __future__ import annotations
@@ -167,46 +168,63 @@ def z_mul(a: Sequence[IntPoly], b: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
 
 @dataclass(frozen=True)
 class SeriesRational:
-    """num(s, z) / den(s, z), both stored as z-coefficient lists of IntPoly.
+    """num(s, z) / (factor_1 * ... * factor_n), each a z-coefficient list
+    of IntPoly.
 
-    The denominator must be exactly 1 at z = 0, which keeps the expansion
+    The denominator is kept as the factors it was given; a denominator
+    that is not factored is a tuple of one factor.  Each factor must be
+    exactly 1 at z = 0, which keeps every division step of the expansion
     in integer coefficients; every generating function here has that form.
     """
 
     numerator: tuple[IntPoly, ...]
-    denominator: tuple[IntPoly, ...]
+    factors: tuple[tuple[IntPoly, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.denominator or self.denominator[0] != IntPoly([1]):
-            raise ValueError("denominator at z=0 must be the constant 1")
+        for i, factor in enumerate(self.factors):
+            if not factor or factor[0] != IntPoly([1]):
+                raise ValueError(f"denominator factor {i} {[p.coeffs for p in factor]} "
+                                 "at z=0 must be the constant 1")
+
+    @property
+    def denominator(self) -> tuple[IntPoly, ...]:
+        """The product of the factors, expanded."""
+        den: tuple[IntPoly, ...] = (IntPoly([1]),)
+        for factor in self.factors:
+            den = z_mul(den, factor)
+        return den
 
 
 def series_coeffs(r: SeriesRational, k_max: int) -> list[IntPoly]:
     """First k_max + 1 coefficients of the power-series expansion of r in z.
 
-    With den_0 = 1 the coefficients satisfy num_m = sum_j den_j * coeff_{m-j},
-    so coeff_m = num_m - sum_{j>=1} den_j * coeff_{m-j}, all exact.  The sum
-    runs on coefficient lists: each nonzero term c s^d of a den_j is one
-    in-place slice update of coeff_m at offset d, a bare add or sub for
-    c = +-1.
+    The numerator is divided by one factor at a time.  With f_0 = 1 the
+    quotient by a factor f satisfies coeff_m = in_m - sum_{j>=1} f_j *
+    coeff_{m-j}, all exact, so each step rewrites the coefficient lists in
+    place, m ascending.  Each nonzero term c s^d of an f_j is one in-place
+    slice update of coeff_m at offset d, a bare add or sub for c = +-1.
+    The factors of the 123k and 223k denominators have five such terms in
+    all, each with c = +-1; their product has nine, five of them with
+    |c| > 1.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    num, den = r.numerator, r.denominator
-    # (j, d, op, |c|) for each c s^d of den_j, j ascending: subtracting c q
-    # is op(acc, |c| q)
-    terms = [(j, d, sub if c > 0 else add, abs(c))
-             for j in range(1, len(den)) for d, c in enumerate(den[j].coeffs) if c]
-    out: list[IntPoly] = []
-    for m in range(k_max + 1):
-        acc = list(num[m].coeffs) if m < len(num) else []
-        for j, d, op, a in terms:
-            if j > m:
-                break
-            q = out[m - j].coeffs
-            hi = d + len(q)
-            if hi > len(acc):
-                acc += repeat(0, hi - len(acc))
-            acc[d:hi] = map(op, acc[d:hi], q if a == 1 else map(mul, q, repeat(a)))
-        out.append(IntPoly._of_ints(acc))
-    return out
+    num = r.numerator
+    rows = [list(num[m].coeffs) if m < len(num) else [] for m in range(k_max + 1)]
+    for factor in r.factors:
+        # (j, d, op, |c|) for each c s^d of factor_j, j ascending:
+        # subtracting c q is op(acc, |c| q)
+        terms = [(j, d, sub if c > 0 else add, abs(c))
+                 for j in range(1, len(factor)) for d, c in enumerate(factor[j].coeffs) if c]
+        for m, acc in enumerate(rows):
+            for j, d, op, a in terms:
+                if j > m:
+                    break
+                q = rows[m - j]
+                hi = d + len(q)
+                if hi > len(acc):
+                    acc += repeat(0, hi - len(acc))
+                acc[d:hi] = map(op, acc[d:hi], q if a == 1 else map(mul, q, repeat(a)))
+            while acc and not acc[-1]:
+                acc.pop()
+    return [IntPoly._of_ints(acc) for acc in rows]

@@ -5,7 +5,7 @@ import pytest
 
 from gtfaces import checks, lattice
 from gtfaces.families import HPair
-from gtfaces.poly import IntPoly
+from gtfaces.poly import IntPoly, SeriesRational
 from gtfaces.signatures import Signature
 
 ONE = IntPoly([1])
@@ -86,6 +86,22 @@ def _closed_off_at_223k_k2(real):
 def test_family_routes_names_member_and_routes(name, plant, detail, monkeypatch):
     monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
     assert checks.family_routes(checks.FAMILY_CHECK_KS) == (False, detail)
+
+
+def test_family_routes_names_series_for_a_wrong_kernel(monkeypatch):
+    # the coupled kernel 1 - (s^2+s) z + s^2 z^2 with 2 s^2 z^2 instead
+    real = checks.generating_function
+
+    def planted(fam):
+        r = real(fam)
+        *rest, kernel = r.factors
+        if len(kernel) == 3:
+            kernel = (*kernel[:2], IntPoly([0, 0, 2]))
+        return SeriesRational(r.numerator, (*rest, kernel))
+
+    monkeypatch.setattr(checks, "generating_function", planted)
+    assert checks.family_routes(checks.FAMILY_CHECK_KS) == (
+        False, "123k k=2: closed form differs from series")
 
 
 def test_family_routes_passes_on_no_k():

@@ -4,7 +4,7 @@ from math import prod
 import pytest
 
 from gtfaces import checks, lattice
-from gtfaces.lattice import (Face, ResourceLimitError, TriangularTable,
+from gtfaces.lattice import (Face, ResourceLimitError, TriangularTable, _facets,
                              _tight_masks, enumerate_vertices, face_lattice,
                              fiber_decomposition_check, tracked_cells)
 from gtfaces.poly import IntPoly
@@ -221,6 +221,22 @@ def test_face_lattice_matches_reference_closure(sig, monkeypatch):
         monkeypatch.setattr(lattice, "MAX_S", 6)
     lat = face_lattice(sig)
     assert (lat.vertices, lat.faces, lat.f_vector) == _reference_face_lattice(sig)
+
+
+@pytest.mark.parametrize("mults,proper,facets", [
+    ((1, 1, 1, 1, 1), 20, 20), ((1, 2, 2), 16, 13), ((2, 1, 2), 16, 14)])
+def test_closure_keeps_only_the_facets(mults, proper, facets):
+    # the closure runs over the maximal proper tight sets only; each kept
+    # mask is a face of dimension dim P - 1
+    sig = Signature(mults)
+    lat = face_lattice(sig)
+    full = (1 << len(lat.vertices)) - 1
+    tight = _tight_masks(TriangularTable.from_signature(sig), lat.vertices)
+    kept = _facets(tight, full)
+    assert len(set(tight) - {0, full}) == proper
+    assert len(kept) == facets == lat.f_vector[-2]
+    assert list(kept) == sorted(kept)
+    assert {lat.face_dims[t] for t in kept} == {len(lat.f_vector) - 2}
 
 
 def test_face_lattice_builds_faces_on_first_use():

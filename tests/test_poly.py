@@ -206,20 +206,17 @@ def test_shift_round_trip(f, c):
 
 def _gf_like_series(num_coeffs):
     # shared denominator (1 - z)(1 - s z)(1 - (s^2+s) z + s^2 z^2)
-    den = (IntPoly([1]),)
-    for factor in (
+    return SeriesRational(tuple(num_coeffs), (
         (IntPoly([1]), IntPoly([-1])),
         (IntPoly([1]), IntPoly([0, -1])),
         (IntPoly([1]), IntPoly([0, -1, -1]), IntPoly([0, 0, 1])),
-    ):
-        den = z_mul(den, factor)
-    return SeriesRational(tuple(num_coeffs), den)
+    ))
 
 
 def reference_series_coeffs(r, k_max):
-    """The recurrence coeff_m = num_m - sum_{j>=1} den_j * coeff_{m-j} with
-    one IntPoly product per term: the reference for series_coeffs' slice
-    updates."""
+    """The recurrence coeff_m = num_m - sum_{j>=1} den_j * coeff_{m-j} on the
+    expanded denominator, with one IntPoly product per term: the reference
+    for series_coeffs' slice updates, one factor at a time."""
     num, den = r.numerator, r.denominator
     out = []
     for m in range(k_max + 1):
@@ -234,7 +231,20 @@ def reference_series_coeffs(r, k_max):
        st.lists(st.lists(st.integers(-4, 4), max_size=4).map(IntPoly), max_size=4),
        st.integers(0, 12))
 def test_series_coeffs_match_product_recurrence(num, den_tail, k):
-    r = SeriesRational(tuple(num), (IntPoly([1]), *den_tail))
+    r = SeriesRational(tuple(num), ((IntPoly([1]), *den_tail),))
+    assert series_coeffs(r, k) == reference_series_coeffs(r, k)
+
+
+# a factor 1 + f_1 z + ..., f_j with small or huge coefficients, so both the
+# bare add/sub and the scaled slice updates run
+factors = st.lists(st.lists(coefficients, max_size=4).map(IntPoly), max_size=3).map(
+    lambda tail: (IntPoly([1]), *tail))
+
+
+@given(st.lists(st.lists(coefficients, max_size=4).map(IntPoly), max_size=4),
+       st.lists(factors, max_size=3), st.integers(0, 12))
+def test_factored_series_matches_recurrence_on_the_product(num, dens, k):
+    r = SeriesRational(tuple(num), tuple(dens))
     assert series_coeffs(r, k) == reference_series_coeffs(r, k)
 
 
@@ -252,7 +262,7 @@ def test_series_coeffs_examples():
     r2 = _gf_like_series([IntPoly([1]), IntPoly([0, -1])])
     assert [p.coeffs for p in series_coeffs(r2, 1)] == [(1,), (1, 1, 1)]
     # geometric series
-    geo = SeriesRational((IntPoly([1]),), (IntPoly([1]), IntPoly([-1])))
+    geo = SeriesRational((IntPoly([1]),), ((IntPoly([1]), IntPoly([-1])),))
     assert [p.coeffs for p in series_coeffs(geo, 2)] == [(1,)] * 3
 
 
@@ -274,13 +284,22 @@ def test_series_coeffs_rejects_negative():
 
 
 def test_series_normalization():
-    with pytest.raises(ValueError):
+    one_minus_z = (IntPoly([1]), IntPoly([-1]))
+    with pytest.raises(ValueError, match=r"factor 1 \[\(2,\), \(-2,\)\]"):
         SeriesRational((IntPoly([2]), IntPoly([0, 4])),
-                       (IntPoly([2]), IntPoly([-2])))  # constant term 2
-    with pytest.raises(ValueError):
-        SeriesRational((IntPoly([1]),), (IntPoly([0, 1]),))  # zero at z=0
-    with pytest.raises(ValueError):
-        SeriesRational((IntPoly([1]),), (IntPoly([1, 1]), IntPoly([1])))  # nonconstant
+                       (one_minus_z, (IntPoly([2]), IntPoly([-2]))))  # constant term 2
+    with pytest.raises(ValueError, match=r"factor 0 \[\(0, 1\)\]"):
+        SeriesRational((IntPoly([1]),), ((IntPoly([0, 1]),),))  # zero at z=0
+    with pytest.raises(ValueError, match=r"factor 0 \[\(1, 1\), \(1,\)\]"):
+        SeriesRational((IntPoly([1]),), ((IntPoly([1, 1]), IntPoly([1])),))  # nonconstant
+
+
+def test_denominator_is_the_product_of_the_factors():
+    r = _gf_like_series([IntPoly([1])])
+    # (1 - z)(1 - s z)(1 - (s^2+s) z + s^2 z^2)
+    assert [p.coeffs for p in r.denominator] == [
+        (1,), (-1, -2, -1), (0, 2, 3, 1), (0, 0, -2, -2), (0, 0, 0, 1)]
+    assert SeriesRational((), ()).denominator == (IntPoly([1]),)
 
 
 @settings(max_examples=40)
@@ -288,5 +307,5 @@ def test_series_normalization():
        st.lists(st.lists(st.integers(-4, 4), max_size=3).map(IntPoly), max_size=3),
        st.integers(0, 6))
 def test_series_prefix_stable(num, den_tail, k):
-    r = SeriesRational(tuple(num), (IntPoly([1]), *den_tail))
+    r = SeriesRational(tuple(num), ((IntPoly([1]), *den_tail),))
     assert series_coeffs(r, k + 1)[: k + 1] == series_coeffs(r, k)
