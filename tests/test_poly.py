@@ -294,14 +294,6 @@ def test_series_normalization():
         SeriesRational((IntPoly([1]),), ((IntPoly([1, 1]), IntPoly([1])),))  # nonconstant
 
 
-def test_denominator_is_the_product_of_the_factors():
-    r = _gf_like_series([IntPoly([1])])
-    # (1 - z)(1 - s z)(1 - (s^2+s) z + s^2 z^2)
-    assert [p.coeffs for p in r.denominator] == [
-        (1,), (-1, -2, -1), (0, 2, 3, 1), (0, 0, -2, -2), (0, 0, 0, 1)]
-    assert SeriesRational((), ()).denominator == (IntPoly([1]),)
-
-
 @settings(max_examples=40)
 @given(st.lists(st.lists(st.integers(-4, 4), max_size=3).map(IntPoly), max_size=3),
        st.lists(st.lists(st.integers(-4, 4), max_size=3).map(IntPoly), max_size=3),
