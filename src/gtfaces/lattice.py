@@ -14,10 +14,11 @@ is F meet some facet of the polytope, so dim F is one more than the
 largest dimension among those meets, and a vertex has dimension 0.  The
 lattice keeps each face as a vertex bitmask with its dimension, and the
 projection check reads those bitmasks too; ``Face`` objects, with their
-vertex index tuples, are built only when ``FaceLattice.faces`` is read.  ``tests/test_lattice.py`` checks the
-vertices against a free-chain count at every integer point and against
-exact integer rank, the face dimensions against exact rank, and the whole
-lattice against a plainer two-pass closure.
+vertex index tuples, are built only when ``FaceLattice.faces`` is read.
+``tests/test_lattice.py`` checks the vertices against a free-chain count
+at every integer point and against exact integer rank, the face dimensions
+against exact rank, and the whole lattice against a plainer two-pass
+closure over all the tight sets.
 """
 
 from __future__ import annotations
