@@ -33,12 +33,14 @@ the evaluation.  The states after blocks m_1, ..., m_j depend only on
 those blocks, so the nodes of one evaluation share them: each distinct
 block prefix is extended once, through a trie that also ends with the
 evaluation.  A node of total length at most _WORD_PATH_MAX_S sums by
-Kronecker substitution: each child's coefficients are packed into 64-bit
-words of one int as well, so weight * child is one big-int product whose
-words are the terms of the sum, and the node's words are unpacked once at
-the end.  Longer nodes, whose coefficients may outgrow a word, add
-each slot times the child's coefficients into a coefficient list.  The one
-``IntPoly`` built per node is the finished polynomial.
+Kronecker substitution: each child's coefficients sit in 64-bit words of
+one int as well, so weight * child is one big-int product whose words are
+the terms of the sum.  Longer nodes, whose coefficients may outgrow a word,
+add each slot times the child's coefficients into a coefficient list.  A
+cached value is therefore an ``IntPoly``, or the packed words of a
+word-path node that nothing has read yet: its word-path parents multiply
+by those words as they are, and they are unpacked into an ``IntPoly``,
+once, only when a caller or a list-path parent reads the node.
 
 The recurrence is linear, so it also holds at t = x + c:
 f(x + c) = sum over A of (x + c)^dim(A) * f_fiber(A)(x + c).  An engine
@@ -51,6 +53,7 @@ own engine at c = -1, so h(s) = f(s - 1) never shifts a finished node.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -226,6 +229,7 @@ def transfer_children(mults: tuple[int, ...],
     return children
 
 
+@functools.cache
 def _slot_width(k: int) -> int:
     """Bits per coefficient of the packed weights of a k-level transfer:
     enough for the 3^(k-1) pick vectors, in whole 64-bit words."""
@@ -272,11 +276,13 @@ class FaceCountEngine:
     """Memoized evaluator of the cube-projection recurrence at t = x + shift.
 
     The cache maps run-length tuples in reverse normal form to finished
-    polynomials f(x + shift); shift = -1 gives h-polynomials.
+    polynomials f(x + shift); shift = -1 gives h-polynomials.  A cached
+    value is an ``IntPoly``, or the packed words of a word-path node that
+    nothing has read yet; ``_read`` alone turns the one into the other.
     """
 
     def __init__(self, shift: int = 0) -> None:
-        self._cache: dict[tuple[int, ...], IntPoly] = {}
+        self._cache: dict[tuple[int, ...], IntPoly | int] = {}
         self._shift = shift
 
     def f_polynomial(self, sig: Signature) -> IntPoly:
@@ -285,7 +291,15 @@ class FaceCountEngine:
         key = min(sig.mults, sig.mults[::-1])
         if key not in self._cache:
             self._evaluate(key)
-        return self._cache[key]
+        return self._read(key)
+
+    def _read(self, key: tuple[int, ...]) -> IntPoly:
+        """The cached polynomial of ``key``, unpacking its words into an
+        ``IntPoly`` and caching that if the word path left it packed."""
+        f = self._cache[key]
+        if type(f) is int:
+            f = self._cache[key] = IntPoly._of_ints(_unpack_words(f, e2(key) + 1))
+        return f
 
     def _evaluate(self, root: tuple[int, ...]) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
@@ -294,15 +308,20 @@ class FaceCountEngine:
         through one memo of decoded fiber codes and one trie of transfer
         states by block prefix, both ending with the call, so nodes that
         start with the same blocks extend those states once.  It charges
-        its steps, hit or not, and the coefficient products its sum will
-        take against MAX_ENGINE_WORK, so an oversized input stops before
-        any polynomial arithmetic.  Every child is one entry shorter than its
-        parent, so summing weight * f(child) over the distinct children by
-        ascending length finds each child's polynomial already cached.  On
-        an unshifted engine a node with total length at most
-        _WORD_PATH_MAX_S adds the big-int product of each packed weight and
-        its child's coefficients packed the same way, then unpacks its
-        words.  Every other node's sum is one list of coefficients: each
+        the transfer's steps, hit or not, and then, in one walk over the
+        node's children, the coefficient products its sum will take against
+        MAX_ENGINE_WORK, so an oversized input stops before any polynomial
+        arithmetic; the same walk pushes the children neither expanded nor
+        cached, in the parent's order.  Every child is one entry shorter
+        than its parent, so summing weight * f(child) over the distinct
+        children by ascending length finds each child's polynomial already
+        cached.  A cached value is an ``IntPoly``, or the packed words of a
+        word-path node that nothing has read yet.  On an unshifted engine a
+        node with total length at most _WORD_PATH_MAX_S adds the big-int
+        product of each packed weight and its child's words, packing a child
+        cached as an ``IntPoly`` once per evaluation, and is cached as that
+        packed sum; ``_read`` unpacks it when a caller or a list-path parent
+        reads it.  Every other node's sum is one list of coefficients: each
         nonzero slot w_j of a weight W(x + shift), unpacked and shifted once
         per distinct weight, adds w_j * f(child) into it, shifted by j.
         """
@@ -333,30 +352,35 @@ class FaceCountEngine:
                 continue
             children = grouped[mults] = transfer_children(mults, spend, keys, prefixes)
             wb = _slot_width(len(mults))
-            # one product per slot of a weight and coefficient of its child
-            spend(sum(((weight.bit_length() - 1) // wb + 1)
-                      * (size.get(child) or size.setdefault(child, e2(child) + 1))
-                      for child, weight in children.items()))
-            todo.extend(children)
+            work = 0  # one product per slot of a weight and coefficient of its child
+            for child, weight in children.items():
+                n = size.get(child)
+                if n is None:
+                    n = size[child] = e2(child) + 1
+                work += ((weight.bit_length() - 1) // wb + 1) * n
+                if child not in grouped and child not in cache:
+                    todo.append(child)
+            spend(work)
         shift = self._shift
-        words: dict[tuple[int, ...], int] = {}  # children packed for the word path
+        words: dict[tuple[int, ...], int] = {}  # unpacked children packed, per evaluation
         slotted: dict[int, dict[int, list[int]]] = {}  # weights' shifted slots, per evaluation
+        read = self._read
         for mults in sorted(grouped, key=sum):
             if not shift and sum(mults) <= _WORD_PATH_MAX_S:
                 acc = 0
                 for child, weight in grouped[mults].items():
-                    f = words.get(child)
-                    if f is None:
-                        f = words[child] = _pack_words(cache[child].coeffs)
+                    f = cache[child]
+                    if type(f) is not int:
+                        f = words.get(child) or words.setdefault(child, _pack_words(f.coeffs))
                     acc += weight * f
-                cache[mults] = IntPoly._of_ints(_unpack_words(acc, size[mults]))
+                cache[mults] = acc
                 continue
             wb = _slot_width(len(mults))
             mask = (1 << wb) - 1
             memo = slotted.setdefault(wb, {})
             acc = [0] * size[mults]
             for child, weight in grouped[mults].items():
-                f = cache[child].coeffs
+                f = read(child).coeffs
                 slots = memo.get(weight)
                 if slots is None:
                     slots = memo[weight] = _shift_slots(

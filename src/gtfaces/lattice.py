@@ -12,8 +12,9 @@ incidence closure of Kaibel and Pfetsch).  One recursive pass closes them
 and gives each face its dimension by lattice rank: every facet of a face F
 is F meet some facet of the polytope, so dim F is one more than the
 largest dimension among those meets, and a vertex has dimension 0.  The
-lattice keeps each face as a vertex bitmask with its dimension, and the
-projection check reads those bitmasks too; ``Face`` objects, with their
+lattice keeps each face as a vertex bitmask with its dimension, and each
+constraint's tight set as a vertex bitmask; the projection check reads
+both, and computes neither again.  ``Face`` objects, with their
 vertex index tuples, are built only when ``FaceLattice.faces`` is read.
 ``tests/test_lattice.py`` checks the vertices against a free-chain count
 at every integer point and against exact integer rank, the face dimensions
@@ -79,9 +80,11 @@ class FaceLattice:
     signature: Signature
     vertices: tuple[tuple[int, ...], ...]
     f_vector: tuple[int, ...]
-    # face vertex bitmask -> dimension; the signature determines it, so it
-    # stays out of equality and hashing
+    # face vertex bitmask -> dimension, and per constraint of the signature's
+    # TriangularTable the bitmask of vertices where it is tight; the
+    # signature determines both, so they stay out of equality and hashing
     face_dims: dict[int, int] = field(compare=False, repr=False)
+    tight_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -139,11 +142,11 @@ def enumerate_vertices(sig: Signature) -> list[tuple[int, ...]]:
 
 
 def _tight_masks(table: TriangularTable,
-                 vertices: Sequence[tuple[int, ...]]) -> list[int]:
+                 vertices: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """Per constraint, the bitmask of vertices where it holds with equality."""
     points = [table.top + v for v in vertices]
-    return [sum(1 << i for i, p in enumerate(points) if p[lo] == p[hi])
-            for lo, hi in table.constraints]
+    return tuple(sum(1 << i for i, p in enumerate(points) if p[lo] == p[hi])
+                 for lo, hi in table.constraints)
 
 
 def _facets(tight: Sequence[int], full: int) -> tuple[int, ...]:
@@ -173,7 +176,8 @@ def face_lattice(sig: Signature) -> FaceLattice:
     """
     vertices = enumerate_vertices(sig)
     full = (1 << len(vertices)) - 1
-    facets = _facets(_tight_masks(TriangularTable.from_signature(sig), vertices), full)
+    tight = _tight_masks(TriangularTable.from_signature(sig), vertices)
+    facets = _facets(tight, full)
     dims: dict[int, int] = {}
     get = dims.get
 
@@ -193,7 +197,7 @@ def face_lattice(sig: Signature) -> FaceLattice:
     f_vector = [0] * (close(full) + 1)
     for dim in dims.values():
         f_vector[dim] += 1
-    return FaceLattice(sig, tuple(vertices), tuple(f_vector), dims)
+    return FaceLattice(sig, tuple(vertices), tuple(f_vector), dims, tight)
 
 
 def tracked_cells(sig: Signature) -> tuple[int, ...]:
@@ -217,8 +221,8 @@ def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
     """Verify both projection statements on the lattice's vertex bitmasks.
 
     Cube coordinate q is tracked cell c, under the top values q and q + 1, so
-    the tight sets of its constraints 2c and 2c + 1 are the vertices where it
-    equals q and q + 1.  A face picks LOW when it misses the q + 1 side, HIGH
+    the lattice's tight masks of its constraints 2c and 2c + 1 are the
+    vertices where it equals q and q + 1.  A face picks LOW when it misses the q + 1 side, HIGH
     when it misses the q side, and MID otherwise.  Statement 1: no vertex of
     a face lies off both sides, and every corner of its spanned cube face
     (the face met with one side per MID coordinate) is nonempty.  Statement
@@ -229,7 +233,7 @@ def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
         # the projection collapses to a point; nothing to decompose
         return FiberCheckReport(True, ())
     lat = face_lattice(sig)
-    tight = _tight_masks(TriangularTable.from_signature(sig), lat.vertices)
+    tight = lat.tight_masks
     sides = [(c, tight[2 * c], tight[2 * c + 1]) for c in tracked_cells(sig)]
     failures: list[str] = []
     observed: Counter = Counter()  # (picks, dim(face) - #MID) -> faces

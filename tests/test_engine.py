@@ -202,8 +202,14 @@ def test_fused_sum_matches_products_on_long_signatures(shape):
 
 @pytest.mark.parametrize("n", [10, 11])
 def test_fused_sum_matches_products_on_many_levels(n):
-    sig = Signature((1,) * n)
-    assert FaceCountEngine().f_polynomial(sig) == f_by_products(sig.mults, {})
+    sig, memo = Signature((1,) * n), {}
+    want = f_by_products(sig.mults, memo)
+    assert FaceCountEngine().f_polynomial(sig) == want
+    # on a warm engine 1^9 leaves its descendants packed, and the list-path
+    # nodes of the next evaluation read them as children
+    warm = FaceCountEngine()
+    assert warm.f_polynomial(Signature((1,) * 9)) == memo[(1,) * 9]
+    assert warm.f_polynomial(sig) == want
 
 
 def test_word_path_limit_is_the_largest_that_fits():
@@ -223,11 +229,18 @@ def test_word_path_matches_list_path(monkeypatch):
 
 
 def test_word_path_coefficients_stay_below_their_bound():
+    # the compositions of 9 on one engine leave every shorter node cached as
+    # packed words; reading each back unpacks it
     eng = FaceCountEngine()
+    for sig in iter_signatures(9):
+        eng.f_polynomial(sig)
     every = [sig.mults for s in range(1, 10) for sig in iter_signatures(s)]
-    for mults in every:
-        eng.f_polynomial(Signature(mults))
     assert set(eng._cache) == {min(m, m[::-1]) for m in every}
+    assert {type(f) for f in eng._cache.values()} == {IntPoly, int}
+    for node in list(eng._cache):
+        assert eng.f_polynomial(Signature(node)) == \
+            FaceCountEngine().f_polynomial(Signature(node)), node
+    assert {type(f) for f in eng._cache.values()} == {IntPoly}
     for node, f in eng._cache.items():
         s = sum(node)
         assert max(f.coeffs) <= 3 ** (s * (s - 1) // 2) < 2 ** 64, node

@@ -232,6 +232,7 @@ def test_closure_keeps_only_the_facets(mults, proper, facets):
     lat = face_lattice(sig)
     full = (1 << len(lat.vertices)) - 1
     tight = _tight_masks(TriangularTable.from_signature(sig), lat.vertices)
+    assert lat.tight_masks == tight
     kept = _facets(tight, full)
     assert len(set(tight) - {0, full}) == proper
     assert len(kept) == facets == lat.f_vector[-2]
@@ -357,12 +358,13 @@ def test_fiber_decomposition_point_fiber(monkeypatch):
 
 
 def test_fiber_decomposition_image_off_the_cube(monkeypatch):
-    # move vertex 0 of GZ(1 2 3) off the cube in coordinate 1: its own face
-    # then has an image value that is neither endpoint
+    # move vertex 0 of GZ(1 2 3) off the cube in coordinate 1, tight masks
+    # and all: its own face then has an image value that is neither endpoint
     real = face_lattice(Signature((1, 1, 1)))
-    v0 = (3,) + real.vertices[0][1:]
+    vertices = ((3,) + real.vertices[0][1:],) + real.vertices[1:]
+    tight = _tight_masks(TriangularTable.from_signature(real.signature), vertices)
     planted = lattice.FaceLattice(
-        real.signature, (v0,) + real.vertices[1:], real.f_vector, real.face_dims)
+        real.signature, vertices, real.f_vector, real.face_dims, tight)
     monkeypatch.setattr(lattice, "face_lattice", lambda sig: planted)
     report = fiber_decomposition_check(Signature((1, 1, 1)))
     assert not report.ok
@@ -374,7 +376,8 @@ def test_fiber_decomposition_missing_corner(monkeypatch):
     # faces that spanned a cube face through it now miss one of its corners
     real = face_lattice(Signature((1, 1, 1)))
     dims = {fmask & ~1: dim for fmask, dim in real.face_dims.items() if fmask != 1}
-    planted = lattice.FaceLattice(real.signature, real.vertices, real.f_vector, dims)
+    planted = lattice.FaceLattice(real.signature, real.vertices, real.f_vector, dims,
+                                  real.tight_masks)
     monkeypatch.setattr(lattice, "face_lattice", lambda sig: planted)
     report = fiber_decomposition_check(Signature((1, 1, 1)))
     assert not report.ok
