@@ -72,7 +72,7 @@ from .signatures import Signature, canonicalize, e2  # noqa: F401
 # child); a transfer step (one state extended by one pick) is charged
 # _STEP_WORK products, about its measured cost, so that a signature with many
 # levels stops before its transfer states fill memory.  On a shared 2-core
-# Xeon with Python 3.11, 1^13 takes 10.9M in about 0.7 s, (1,2,1,2,1,2,1,2,1)
+# Xeon with Python 3.11, 1^13 takes 10.9M in about 0.65 s, (1,2,1,2,1,2,1,2,1)
 # 14.3M in about 0.8 s and (2,1200) 14.0M in about 2.1 s, each through the
 # CLI, --quiet or not.
 MAX_ENGINE_WORK = 16_000_000
@@ -362,7 +362,7 @@ class FaceCountEngine:
                     todo.append(child)
             spend(work)
         shift = self._shift
-        words: dict[tuple[int, ...], int] = {}  # unpacked children packed, per evaluation
+        words: dict[tuple[int, ...], int] = {}  # IntPoly children packed, per evaluation
         slotted: dict[int, dict[int, list[int]]] = {}  # weights' shifted slots, per evaluation
         read = self._read
         for mults in sorted(grouped, key=sum):

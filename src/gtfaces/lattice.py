@@ -221,8 +221,8 @@ def fiber_decomposition_check(sig: Signature) -> FiberCheckReport:
     """Verify both projection statements on the lattice's vertex bitmasks.
 
     Cube coordinate q is tracked cell c, under the top values q and q + 1, so
-    the lattice's tight masks of its constraints 2c and 2c + 1 are the
-    vertices where it equals q and q + 1.  A face picks LOW when it misses the q + 1 side, HIGH
+    the tight sets of its constraints 2c and 2c + 1 are the vertices where it
+    equals q and q + 1.  A face picks LOW when it misses the q + 1 side, HIGH
     when it misses the q side, and MID otherwise.  Statement 1: no vertex of
     a face lies off both sides, and every corner of its spanned cube face
     (the face met with one side per MID coordinate) is nonempty.  Statement
