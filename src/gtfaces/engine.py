@@ -37,10 +37,11 @@ Kronecker substitution: each child's coefficients sit in 64-bit words of
 one int as well, so weight * child is one big-int product whose words are
 the terms of the sum.  Longer nodes, whose coefficients may outgrow a word,
 add each slot times the child's coefficients into a coefficient list.  A
-cached value is therefore an ``IntPoly``, or the packed words of a
-word-path node that nothing has read yet: its word-path parents multiply
-by those words as they are, and they are unpacked into an ``IntPoly``,
-once, only when a caller or a list-path parent reads the node.
+word-path node is cached as its packed words and a point as the int 1;
+``f_polynomial`` unpacks them for its caller and leaves them packed.  Only
+a list-path parent, of total length above _WORD_PATH_MAX_S, replaces a
+packed child by its ``IntPoly``, once; that child is no shorter than
+_WORD_PATH_MAX_S, so no word-path node ever finds one among its children.
 
 The recurrence is linear, so it also holds at t = x + c:
 f(x + c) = sum over A of (x + c)^dim(A) * f_fiber(A)(x + c).  An engine
@@ -236,14 +237,6 @@ def _slot_width(k: int) -> int:
     return -(-(3 ** (k - 1)).bit_length() // 64) * 64
 
 
-def _pack_words(coeffs: tuple[int, ...]) -> int:
-    """``coeffs`` as one int, coefficient j in the 64-bit word j."""
-    packed = array("Q", coeffs)
-    if _BIG_ENDIAN:
-        packed.byteswap()
-    return int.from_bytes(packed, "little")
-
-
 def _unpack_words(packed: int, n: int) -> list[int]:
     """The n 64-bit words of ``packed``, lowest first."""
     words = array("Q", packed.to_bytes(8 * n, "little"))
@@ -277,8 +270,8 @@ class FaceCountEngine:
 
     The cache maps run-length tuples in reverse normal form to finished
     polynomials f(x + shift); shift = -1 gives h-polynomials.  A cached
-    value is an ``IntPoly``, or the packed words of a word-path node that
-    nothing has read yet; ``_read`` alone turns the one into the other.
+    value is an ``IntPoly``, or the packed words of a point or of a
+    word-path node that no list-path parent has read.
     """
 
     def __init__(self, shift: int = 0) -> None:
@@ -291,15 +284,8 @@ class FaceCountEngine:
         key = min(sig.mults, sig.mults[::-1])
         if key not in self._cache:
             self._evaluate(key)
-        return self._read(key)
-
-    def _read(self, key: tuple[int, ...]) -> IntPoly:
-        """The cached polynomial of ``key``, unpacking its words into an
-        ``IntPoly`` and caching that if the word path left it packed."""
         f = self._cache[key]
-        if type(f) is int:
-            f = self._cache[key] = IntPoly._of_ints(_unpack_words(f, e2(key) + 1))
-        return f
+        return IntPoly._of_ints(_unpack_words(f, e2(key) + 1)) if type(f) is int else f
 
     def _evaluate(self, root: tuple[int, ...]) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
@@ -312,18 +298,17 @@ class FaceCountEngine:
         node's children, the coefficient products its sum will take against
         MAX_ENGINE_WORK, so an oversized input stops before any polynomial
         arithmetic; the same walk pushes the children neither expanded nor
-        cached, in the parent's order.  Every child is one entry shorter
-        than its parent, so summing weight * f(child) over the distinct
-        children by ascending length finds each child's polynomial already
-        cached.  A cached value is an ``IntPoly``, or the packed words of a
-        word-path node that nothing has read yet.  On an unshifted engine a
-        node with total length at most _WORD_PATH_MAX_S adds the big-int
-        product of each packed weight and its child's words, packing a child
-        cached as an ``IntPoly`` once per evaluation, and is cached as that
-        packed sum; ``_read`` unpacks it when a caller or a list-path parent
-        reads it.  Every other node's sum is one list of coefficients: each
-        nonzero slot w_j of a weight W(x + shift), unpacked and shifted once
-        per distinct weight, adds w_j * f(child) into it, shifted by j.
+        cached, in the parent's order; siblings share one total length and
+        everything pushed after a node is shorter, so none is pushed twice.
+        Every child is one entry shorter than its parent, so summing
+        weight * f(child) over the distinct children by ascending length
+        finds each child already cached.  On an unshifted engine a node with
+        total length at most _WORD_PATH_MAX_S is cached as the sum of each
+        packed weight times its child's packed words.  Every other node's
+        sum is one list of coefficients: each nonzero slot w_j of a weight
+        W(x + shift), unpacked and shifted once per distinct weight, adds
+        w_j * f(child) into it, shifted by j, once a packed child has been
+        replaced in the cache by its ``IntPoly``.
         """
         used = 0
 
@@ -344,11 +329,9 @@ class FaceCountEngine:
         todo = [root]
         while todo:
             mults = todo.pop()
-            if mults in grouped or mults in cache:
-                continue
             if len(mults) == 1:
                 # all levels equal: the polytope is a point, whatever the length
-                cache[mults] = IntPoly([1])
+                cache[mults] = 1
                 continue
             children = grouped[mults] = transfer_children(mults, spend, keys, prefixes)
             wb = _slot_width(len(mults))
@@ -362,17 +345,12 @@ class FaceCountEngine:
                     todo.append(child)
             spend(work)
         shift = self._shift
-        words: dict[tuple[int, ...], int] = {}  # IntPoly children packed, per evaluation
         slotted: dict[int, dict[int, list[int]]] = {}  # weights' shifted slots, per evaluation
-        read = self._read
         for mults in sorted(grouped, key=sum):
             if not shift and sum(mults) <= _WORD_PATH_MAX_S:
                 acc = 0
                 for child, weight in grouped[mults].items():
-                    f = cache[child]
-                    if type(f) is not int:
-                        f = words.get(child) or words.setdefault(child, _pack_words(f.coeffs))
-                    acc += weight * f
+                    acc += weight * cache[child]
                 cache[mults] = acc
                 continue
             wb = _slot_width(len(mults))
@@ -380,7 +358,10 @@ class FaceCountEngine:
             memo = slotted.setdefault(wb, {})
             acc = [0] * size[mults]
             for child, weight in grouped[mults].items():
-                f = read(child).coeffs
+                f = cache[child]
+                if type(f) is int:
+                    f = cache[child] = IntPoly._of_ints(_unpack_words(f, size[child]))
+                f = f.coeffs
                 slots = memo.get(weight)
                 if slots is None:
                     slots = memo[weight] = _shift_slots(

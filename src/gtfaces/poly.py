@@ -60,10 +60,6 @@ class IntPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, d: int) -> int:
-        """Coefficient of x**d (0 outside the stored range)."""
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -135,6 +135,13 @@ def test_family_k_range_csv(capsys):
     assert "1,0,3,1" in lines
 
 
+def test_gf_csv_matches_family_csv(capsys):
+    code, series, _ = run(capsys, "gf", "--family", "223k", "--kmax", "2", "--csv")
+    assert code == 0
+    _, table, _ = run(capsys, "family", "--family", "223k", "--k", "0:2", "--csv")
+    assert series == table
+
+
 def test_gf_expansion(capsys):
     code, out, _ = run(capsys, "gf", "--family", "123k", "--kmax", "3")
     assert code == 0
@@ -170,6 +177,16 @@ def test_check_flag_never_changes_values(capsys):
     assert "engine_agrees" not in a and b.pop("engine_agrees") is True
     a.pop("timing_ms"), b.pop("timing_ms")
     assert a == b
+
+
+def test_family_check_human_states_the_engine_verdict(capsys, monkeypatch):
+    from gtfaces.poly import IntPoly
+
+    code, out, _ = run(capsys, "family", "--family", "123k", "--k", "0:1", "--check")
+    assert code == 0 and out.count("\nengine agrees: True\n") == 2
+    monkeypatch.setattr("gtfaces.families.family_h", lambda fam, k: IntPoly([9]))
+    code, out, _ = run(capsys, "family", "--family", "123k", "--k", "1", "--check")
+    assert code == 1 and out.endswith("\nengine agrees: False\n")
 
 
 def test_disagreement_exits_1(capsys, monkeypatch):

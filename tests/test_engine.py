@@ -12,7 +12,7 @@ from gtfaces.engine import (FaceCountEngine, Pick, ResourceLimitError, cube_chil
                             simplex_f_polynomial, transfer_children)
 from gtfaces.families import h_223k
 from gtfaces.poly import IntPoly
-from gtfaces.signatures import LevelSequence, Signature, canonicalize, iter_signatures
+from gtfaces.signatures import LevelSequence, Signature, canonicalize, e2, iter_signatures
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -229,21 +229,30 @@ def test_word_path_matches_list_path(monkeypatch):
 
 
 def test_word_path_coefficients_stay_below_their_bound():
-    # the compositions of 9 on one engine leave every shorter node cached as
-    # packed words; reading each back unpacks it
+    # the compositions of 9 on one engine leave every node cached as packed
+    # words, coefficient j in the 64-bit word j
     eng = FaceCountEngine()
     for sig in iter_signatures(9):
         eng.f_polynomial(sig)
     every = [sig.mults for s in range(1, 10) for sig in iter_signatures(s)]
     assert set(eng._cache) == {min(m, m[::-1]) for m in every}
-    assert {type(f) for f in eng._cache.values()} == {IntPoly, int}
+    for node, f in eng._cache.items():
+        s, n = sum(node), e2(node) + 1
+        assert type(f) is int and f.bit_length() <= 64 * n, node
+        words = [f >> 64 * j & (1 << 64) - 1 for j in range(n)]
+        assert max(words) <= 3 ** (s * (s - 1) // 2) < 2 ** 64, node
+    # a caller gets each node unpacked, and the cache keeps it packed
     for node in list(eng._cache):
         assert eng.f_polynomial(Signature(node)) == \
             FaceCountEngine().f_polynomial(Signature(node)), node
-    assert {type(f) for f in eng._cache.values()} == {IntPoly}
+    assert {type(f) for f in eng._cache.values()} == {int}
+    # the list-path root 1^10 replaces the children it reads, all of total
+    # length 9, by their IntPoly; every shorter node stays packed
+    ones = Signature((1,) * 10)
+    assert eng.f_polynomial(ones) == FaceCountEngine().f_polynomial(ones)
+    assert type(eng._cache[(1,) * 9]) is IntPoly
     for node, f in eng._cache.items():
-        s = sum(node)
-        assert max(f.coeffs) <= 3 ** (s * (s - 1) // 2) < 2 ** 64, node
+        assert type(f) is int or sum(node) >= 9, node
 
 
 @pytest.mark.parametrize("mults, reached", [
@@ -327,6 +336,12 @@ def test_cube_children_rejects_single_level():
         fiber_child(Signature((2,)), ())
 
 
+def test_fiber_child_refuses_wrong_pick_count():
+    for picks in ((Pick.LOW,), (Pick.LOW,) * 3):
+        with pytest.raises(ValueError, match=f"expected 2 picks, got {len(picks)}"):
+            fiber_child(Signature((1, 1, 1)), picks)
+
+
 def test_simplex_f_polynomial():
     assert simplex_f_polynomial(0).coeffs == (1,)
     assert simplex_f_polynomial(3).coeffs == (4, 6, 4, 1)
@@ -353,4 +368,4 @@ def test_h_equals_f_round_trip():
     f = f_polynomial(sig)
     h = h_polynomial(sig)
     assert h.shift(1) == f
-    assert h.coeff(0) == 1 and h.coeffs[-1] == 1
+    assert h.coeffs[0] == 1 and h.coeffs[-1] == 1

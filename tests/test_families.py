@@ -213,10 +213,9 @@ def test_walks_resume_in_any_call_order(ks):
 
 
 # Every comparison of two family routes goes through checks.family_routes,
-# which compares every route of all three families.  The four per-k tests
-# below each call it at their own k; they keep their names so that every
-# test id of the suite still runs.  The two that share FAMILY_TEST_KS read
-# one cached result per k, so each of those k runs once.
+# which compares every route of all three families.  One ascending call
+# covers FAMILY_TEST_KS; the two per-k tests below it repeat that call one
+# k at a time, reading one cached result per k.
 FAMILY_TEST_KS = [*range(71), 180, 181, MAX_K]
 
 
@@ -225,19 +224,15 @@ def _assert_family_routes(ks):
     assert ok, detail
 
 
+def test_family_routes_agree_at_every_test_k():
+    assert checks.family_routes(FAMILY_TEST_KS) == checks.CheckResult(
+        True, "3 families at 74 values of k: engine, series and second closed "
+              "route equal the closed form")
+
+
 @functools.cache
 def _family_routes_at(k):
     return checks.family_routes([k])
-
-
-@pytest.mark.parametrize("k", range(9))
-def test_h_12k3_matches_engine(k):
-    _assert_family_routes([k])
-
-
-@pytest.mark.parametrize("k", range(7))
-def test_coupled_families_match_engine(k):
-    _assert_family_routes([k])
 
 
 @pytest.mark.parametrize("k", FAMILY_TEST_KS)
@@ -256,6 +251,12 @@ def test_h_pair_matrix_in_any_call_order():
     # phi is a grow-only memo: descending from MAX_K, every closed form reads
     # a phi already filled far past its own k (the tests above run ascending)
     _assert_family_routes([MAX_K, 181, 180, 60, *range(13, -1, -1)])
+
+
+@pytest.mark.parametrize("route", [h_12k3, f_12k3, h_123k, h_223k, h_pair_matrix])
+def test_family_routes_refuse_negative_k(route):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        route(-1)
 
 
 def test_h_pair_matrix_base_case():
@@ -289,7 +290,7 @@ def test_family_h_degree_matches_dimension(family):
         sig = family_signature(family, k)
         h = family_h(family, k)
         assert h.degree == dimension(sig)
-        assert h.coeff(0) == 1 and h.coeffs[-1] == 1
+        assert h.coeffs[0] == 1 and h.coeffs[-1] == 1
 
 
 def test_degenerate_members_are_known_shapes():

@@ -126,3 +126,8 @@ def test_iter_signatures_counts(s):
     assert len(sigs) == 2 ** (s - 1)
     assert len(set(sigs)) == len(sigs)
     assert all(sig.s == s for sig in sigs)
+
+
+def test_iter_signatures_refuses_total_zero():
+    with pytest.raises(ValueError, match="total length must be >= 1"):
+        next(iter_signatures(0))
