@@ -214,8 +214,9 @@ def test_walks_resume_in_any_call_order(ks):
 
 # Every comparison of two family routes goes through checks.family_routes,
 # which compares every route of all three families.  One ascending call
-# covers FAMILY_TEST_KS; the two per-k tests below it repeat that call one
-# k at a time, reading one cached result per k.
+# covers FAMILY_TEST_KS; the four per-k tests below it repeat that call one
+# k at a time and keep their names, so every test id of the suite still
+# runs.  The two that share FAMILY_TEST_KS read one cached result per k.
 FAMILY_TEST_KS = [*range(71), 180, 181, MAX_K]
 
 
@@ -233,6 +234,16 @@ def test_family_routes_agree_at_every_test_k():
 @functools.cache
 def _family_routes_at(k):
     return checks.family_routes([k])
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_h_12k3_matches_engine(k):
+    _assert_family_routes([k])
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_coupled_families_match_engine(k):
+    _assert_family_routes([k])
 
 
 @pytest.mark.parametrize("k", FAMILY_TEST_KS)
