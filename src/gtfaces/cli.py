@@ -40,7 +40,7 @@ from typing import Any, Sequence
 from . import checks, families, lattice
 # re-exported because perfbench/worker.py reads gtfaces.cli.FIBER_CHECK_SIGNATURES
 from .checks import FIBER_CHECK_SIGNATURES  # noqa: F401
-from .engine import ResourceLimitError, f_polynomial
+from .engine import ResourceLimitError, h_polynomial
 from .families import Family
 from .poly import IntPoly, series_coeffs
 from .signatures import (ParseError, Signature, canonicalize, dimension,
@@ -127,8 +127,8 @@ def _parse_k_spec(spec: str) -> range:
 def cmd_f(args: argparse.Namespace, out: io.TextIOBase) -> int:
     echo, sig = _resolve_signature(args)
     start = time.perf_counter()
-    f = f_polynomial(sig)
-    h = f.shift(-1)
+    h = h_polynomial(sig)
+    f = h.shift(1)
     ms = (time.perf_counter() - start) * 1000.0
     rec = _record(echo, sig, f, h, ms)
     if args.json:
@@ -154,7 +154,7 @@ def cmd_family(args: argparse.Namespace, out: io.TextIOBase) -> int:
         rec = _record({"kind": "family", "text": f"{fam.value} k={k}"}, sig, f, h, ms)
         rec["k"] = k
         if args.check:
-            agrees = f_polynomial(sig) == f
+            agrees = h_polynomial(sig) == h
             rec["engine_agrees"] = agrees
             if not agrees:
                 disagreements += 1

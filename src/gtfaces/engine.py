@@ -32,24 +32,21 @@ that tuple once per evaluation, through a memo that lives only as long as
 the evaluation.  The states after blocks m_1, ..., m_j depend only on
 those blocks, so the nodes of one evaluation share them: each distinct
 block prefix is extended once, through a trie that also ends with the
-evaluation.  A node of total length at most _WORD_PATH_MAX_S sums by
+evaluation.  A node of total length at most _WORD_PATH_MAX_S sums f by
 Kronecker substitution: each child's coefficients sit in 64-bit words of
 one int as well, so weight * child is one big-int product whose words are
-the terms of the sum.  Longer nodes, whose coefficients may outgrow a word,
-add each slot times the child's coefficients into a coefficient list.  A
-word-path node is cached as its packed words and a point as the int 1;
-``f_polynomial`` unpacks them for its caller and leaves them packed.  Only
-a list-path parent, of total length above _WORD_PATH_MAX_S, replaces a
-packed child by its ``IntPoly``, once; that child is no shorter than
-_WORD_PATH_MAX_S, so no word-path node ever finds one among its children.
+the terms of the sum.  Such a node is cached as its packed words of f, and
+a point, whatever its length, as the int 1.
 
-The recurrence is linear, so it also holds at t = x + c:
-f(x + c) = sum over A of (x + c)^dim(A) * f_fiber(A)(x + c).  An engine
-built with shift c caches f(x + c) for each node and only its sum changes:
-each weight's slots are Taylor-shifted once per evaluation, and every node
-takes the coefficient list, as a shifted polynomial may have negative
-coefficients, which the word path cannot hold.  ``h_polynomial`` runs its
-own engine at c = -1, so h(s) = f(s - 1) never shifts a finished node.
+The recurrence is linear, so it also holds at t = s - 1, where it gives
+h(s) = f(s - 1).  A longer node, whose coefficients may outgrow a word,
+sums there: each weight's slots are Taylor-shifted by -1 once per
+evaluation and added, times the child's h, into a coefficient list, and
+the node is cached as its h ``IntPoly``.  The public methods unpack or
+shift an entry by its type.  A list-path parent, of total length above
+_WORD_PATH_MAX_S, replaces each packed child it reads by its h, once; that
+child is no shorter than _WORD_PATH_MAX_S, so no word-path node ever finds
+an h among its children.
 """
 
 from __future__ import annotations
@@ -73,9 +70,9 @@ from .signatures import Signature, canonicalize, e2  # noqa: F401
 # child); a transfer step (one state extended by one pick) is charged
 # _STEP_WORK products, about its measured cost, so that a signature with many
 # levels stops before its transfer states fill memory.  On a shared 2-core
-# Xeon with Python 3.11, 1^13 takes 10.9M in about 0.65 s, (1,2,1,2,1,2,1,2,1)
-# 14.3M in about 0.8 s and (2,1200) 14.0M in about 2.1 s, each through the
-# CLI, --quiet or not.
+# Xeon with Python 3.11, as medians of 5 CLI runs, --quiet or --json, 1^13
+# takes 10.9M in about 0.7 s, (1,2,1,2,1,2,1,2,1) 14.3M in 0.8-1.3 s and
+# (2,1200) 14.0M in 2.1-2.4 s, at a peak RSS of 206 MB.
 MAX_ENGINE_WORK = 16_000_000
 _STEP_WORK = 16
 
@@ -245,16 +242,14 @@ def _unpack_words(packed: int, n: int) -> list[int]:
     return words.tolist()
 
 
-def _shift_slots(slots: list[int], c: int) -> list[int]:
-    """The coefficients of sum_j slots[j] (x + c)^j, by Horner's rule."""
-    if not c:
-        return slots
+def _shift_slots(slots: list[int]) -> list[int]:
+    """The coefficients of sum_j slots[j] (x - 1)^j, by Horner's rule."""
     out: list[int] = []
     for w in reversed(slots):
-        out.append(0)  # out * (x + c) + w, from the top coefficient down
+        out.append(0)  # out * (x - 1) + w, from the top coefficient down
         for i in range(len(out) - 1, 0, -1):
-            out[i] = out[i - 1] + c * out[i]
-        out[0] = c * out[0] + w
+            out[i] = out[i - 1] - out[i]
+        out[0] = w - out[0]
     return out
 
 
@@ -266,26 +261,33 @@ def simplex_f_polynomial(m: int) -> IntPoly:
 
 
 class FaceCountEngine:
-    """Memoized evaluator of the cube-projection recurrence at t = x + shift.
+    """Memoized evaluator of the cube-projection recurrence.
 
-    The cache maps run-length tuples in reverse normal form to finished
-    polynomials f(x + shift); shift = -1 gives h-polynomials.  A cached
-    value is an ``IntPoly``, or the packed words of a point or of a
-    word-path node that no list-path parent has read.
+    The cache maps run-length tuples in reverse normal form to the packed
+    words of f for a point or a word-path node, or to the h ``IntPoly`` of
+    a list-path node or of a word-path node a list-path parent has read.
     """
 
-    def __init__(self, shift: int = 0) -> None:
+    def __init__(self) -> None:
         self._cache: dict[tuple[int, ...], IntPoly | int] = {}
-        self._shift = shift
 
     def f_polynomial(self, sig: Signature) -> IntPoly:
-        """f(x + shift), where the coefficient of t^d in f counts
-        d-dimensional faces, the polytope itself included."""
+        """f(t), where the coefficient of t^d counts d-dimensional faces,
+        the polytope itself included."""
+        key, v = self._entry(sig)
+        return IntPoly._of_ints(_unpack_words(v, e2(key) + 1)) if type(v) is int else v.shift(1)
+
+    def h_polynomial(self, sig: Signature) -> IntPoly:
+        """h(s) = f(s - 1)."""
+        key, v = self._entry(sig)
+        return IntPoly._of_ints(_unpack_words(v, e2(key) + 1)).shift(-1) if type(v) is int else v
+
+    def _entry(self, sig: Signature) -> tuple[tuple[int, ...], IntPoly | int]:
+        """The node of ``sig`` and its cache entry, evaluated if missing."""
         key = min(sig.mults, sig.mults[::-1])
         if key not in self._cache:
             self._evaluate(key)
-        f = self._cache[key]
-        return IntPoly._of_ints(_unpack_words(f, e2(key) + 1)) if type(f) is int else f
+        return key, self._cache[key]
 
     def _evaluate(self, root: tuple[int, ...]) -> None:
         """Cache ``root`` and its uncached descendants, shortest first.
@@ -300,15 +302,14 @@ class FaceCountEngine:
         arithmetic; the same walk pushes the children neither expanded nor
         cached, in the parent's order; siblings share one total length and
         everything pushed after a node is shorter, so none is pushed twice.
-        Every child is one entry shorter than its parent, so summing
-        weight * f(child) over the distinct children by ascending length
-        finds each child already cached.  On an unshifted engine a node with
-        total length at most _WORD_PATH_MAX_S is cached as the sum of each
-        packed weight times its child's packed words.  Every other node's
-        sum is one list of coefficients: each nonzero slot w_j of a weight
-        W(x + shift), unpacked and shifted once per distinct weight, adds
-        w_j * f(child) into it, shifted by j, once a packed child has been
-        replaced in the cache by its ``IntPoly``.
+        Every child is one entry shorter than its parent, so summing over
+        the distinct children by ascending length finds each child already
+        cached.  A node with total length at most _WORD_PATH_MAX_S is
+        cached as the sum of each packed weight times its child's packed
+        words of f.  Every longer node's sum is one list of h coefficients:
+        each nonzero slot w_j of a weight W(s - 1), unpacked and shifted
+        once per distinct weight, adds w_j * h(child) into it, shifted by j,
+        once a packed child has been replaced in the cache by its h.
         """
         used = 0
 
@@ -344,10 +345,9 @@ class FaceCountEngine:
                 if child not in grouped and child not in cache:
                     todo.append(child)
             spend(work)
-        shift = self._shift
         slotted: dict[int, dict[int, list[int]]] = {}  # weights' shifted slots, per evaluation
         for mults in sorted(grouped, key=sum):
-            if not shift and sum(mults) <= _WORD_PATH_MAX_S:
+            if sum(mults) <= _WORD_PATH_MAX_S:
                 acc = 0
                 for child, weight in grouped[mults].items():
                     acc += weight * cache[child]
@@ -358,26 +358,25 @@ class FaceCountEngine:
             memo = slotted.setdefault(wb, {})
             acc = [0] * size[mults]
             for child, weight in grouped[mults].items():
-                f = cache[child]
-                if type(f) is int:
-                    f = cache[child] = IntPoly._of_ints(_unpack_words(f, size[child]))
-                f = f.coeffs
+                h = cache[child]
+                if type(h) is int:
+                    h = cache[child] = IntPoly._of_ints(_unpack_words(h, size[child])).shift(-1)
+                h = h.coeffs
                 slots = memo.get(weight)
                 if slots is None:
                     slots = memo[weight] = _shift_slots(
-                        [weight >> i & mask for i in range(0, weight.bit_length(), wb)], shift)
+                        [weight >> i & mask for i in range(0, weight.bit_length(), wb)])
                 for j, c in enumerate(slots):
                     if c == 1:
-                        for i, a in enumerate(f, j):
+                        for i, a in enumerate(h, j):
                             acc[i] += a
                     elif c:
-                        for i, a in enumerate(f, j):
+                        for i, a in enumerate(h, j):
                             acc[i] += c * a
             cache[mults] = IntPoly._of_ints(acc)
 
 
 _DEFAULT_ENGINE = FaceCountEngine()
-_H_ENGINE = FaceCountEngine(-1)
 
 
 def f_polynomial(sig: Signature) -> IntPoly:
@@ -386,7 +385,5 @@ def f_polynomial(sig: Signature) -> IntPoly:
 
 
 def h_polynomial(sig: Signature) -> IntPoly:
-    """h-polynomial h(s) = f(s - 1), from the shared engine that runs the
-    recurrence at t = s - 1; it keeps its own memo, apart from
-    ``f_polynomial``'s."""
-    return _H_ENGINE.f_polynomial(sig)
+    """h-polynomial h(s) = f(s - 1) via the shared default engine."""
+    return _DEFAULT_ENGINE.h_polynomial(sig)

@@ -328,11 +328,15 @@ def test_quiet_human(capsys):
 def test_f_runs_the_engine_once(capsys, monkeypatch):
     from gtfaces import engine
 
-    # h is the Taylor shift of the command's own f, not a second evaluation
-    monkeypatch.setattr(engine, "_H_ENGINE", engine.FaceCountEngine(-1))
+    # f is the Taylor shift of the command's own h, not a second evaluation
+    calls = []
+    evaluate = engine.FaceCountEngine._evaluate
+    monkeypatch.setattr(engine, "_DEFAULT_ENGINE", engine.FaceCountEngine())
+    monkeypatch.setattr(engine.FaceCountEngine, "_evaluate",
+                        lambda self, root: calls.append(root) or evaluate(self, root))
     code, out, _ = run(capsys, "f", "--signature", "1,1,1", "--quiet")
     assert (code, out) == (0, "f-vector: 7 11 6 1\nh-vector: 1 2 3 1\n")
-    assert not engine._H_ENGINE._cache
+    assert calls == [(1, 1, 1)]
 
 
 def test_engine_budget_exits_3(capsys, monkeypatch):

@@ -246,24 +246,29 @@ def test_word_path_coefficients_stay_below_their_bound():
         assert eng.f_polynomial(Signature(node)) == \
             FaceCountEngine().f_polynomial(Signature(node)), node
     assert {type(f) for f in eng._cache.values()} == {int}
-    # the list-path root 1^10 replaces the children it reads, all of total
-    # length 9, by their IntPoly; every shorter node stays packed
+    # the list-path root 1^10 replaces exactly the children it reads, all of
+    # total length 9, each by its h; every other node stays packed
     ones = Signature((1,) * 10)
     assert eng.f_polynomial(ones) == FaceCountEngine().f_polynomial(ones)
-    assert type(eng._cache[(1,) * 9]) is IntPoly
-    for node, f in eng._cache.items():
-        assert type(f) is int or sum(node) >= 9, node
+    read = set(transfer_children(ones.mults))
+    assert {sum(node) for node in read} == {9}
+    assert {node for node, v in eng._cache.items() if type(v) is not int} == read | {ones.mults}
+    ref = FaceCountEngine()
+    for node in read:
+        sig = Signature(node)
+        assert eng._cache[node] == ref.f_polynomial(sig).shift(-1), node
+        assert eng.f_polynomial(sig) == ref.f_polynomial(sig), node
+        assert eng.h_polynomial(sig) == ref.h_polynomial(sig), node
 
 
 @pytest.mark.parametrize("mults, reached", [
     ((2, 2400), 16_008_644), ((1,) * 14, 16_014_509), ((3, 3000), 16_017_846),
     ((2, 1, 1, 2, 1, 1, 2, 1, 1, 2), 16_020_046), ((1,) * 16, 16_012_403)])
 def test_budget_error_reports_work_units(mults, reached):
-    # the shifted engine charges the same work: deg W(x + c) = deg W
-    for shift in (0, -1):
+    for method in (FaceCountEngine.f_polynomial, FaceCountEngine.h_polynomial):
         with pytest.raises(ResourceLimitError, match=rf"MAX_ENGINE_WORK=16000000, "
                                                      rf"{reached} work units reached$") as info:
-            FaceCountEngine(shift).f_polynomial(Signature(mults))
+            method(FaceCountEngine(), Signature(mults))
         exc = info.value
         assert (exc.budget, exc.limit, exc.reached) == ("MAX_ENGINE_WORK", 16_000_000, reached)
 
@@ -273,24 +278,20 @@ def test_thirteen_levels_fit_the_budget():
     f = eng.f_polynomial(Signature((1,) * 13))
     assert f.degree == 78 and f.evaluate(-1) == 1
     # the decode memo, the prefix trie and the slot memo end with the evaluation
-    assert list(vars(eng)) == ["_cache", "_shift"]
+    assert list(vars(eng)) == ["_cache"]
 
 
-def test_shifted_engine_matches_shifted_f():
-    # every composition with s <= 10, each on cold engines: the h engine runs
-    # the list path at every node, the f engine the word path up to s = 9
+def test_shifted_engine_matches_shifted_f(monkeypatch):
+    # every composition with s <= 10, one engine per side: the default
+    # engine sums f up to s = 9 and h above, the other sums h at every node
     sigs = [sig for s in range(1, 11) for sig in iter_signatures(s)]
     assert len(sigs) == 2 ** 10 - 1
-    for sig in sigs:
-        assert FaceCountEngine(-1).f_polynomial(sig) == \
-            FaceCountEngine().f_polynomial(sig).shift(-1), sig
-
-
-@pytest.mark.parametrize("shift", [-3, 1, 2])
-def test_any_shift_matches_shifted_f(shift):
-    eng, ref = FaceCountEngine(shift), FaceCountEngine()
-    for sig in (Signature(m) for m in ((1, 1, 1), (2, 3), (1, 2, 1, 2), (1,) * 7, (3, 40))):
-        assert eng.f_polynomial(sig) == ref.f_polynomial(sig).shift(shift), sig
+    eng = FaceCountEngine()
+    want = [(eng.f_polynomial(sig), eng.h_polynomial(sig)) for sig in sigs]
+    assert all(h == f.shift(-1) for f, h in want)
+    monkeypatch.setattr(engine, "_WORD_PATH_MAX_S", 0)
+    eng = FaceCountEngine()
+    assert [(eng.f_polynomial(sig), eng.h_polynomial(sig)) for sig in sigs] == want
 
 
 def test_engine_matches_reference_table_up_to_s8():
@@ -355,12 +356,19 @@ def test_f_polynomial_examples():
     assert f_polynomial(Signature((1, 3))).coeffs == (4, 6, 4, 1)
     assert f_polynomial(Signature((2, 1))).coeffs == (3, 3, 1)
     assert h_polynomial(Signature((1, 2, 1))).coeffs == (1, 2, 3, 4, 3, 1)
+    # a long point, and the point (9,) once its list-path parent has read it
+    assert f_polynomial(Signature((12,))).coeffs == (1,)
+    assert f_polynomial(Signature((9, 1))) == simplex_f_polynomial(9)
+    assert f_polynomial(Signature((9,))).coeffs == (1,)
 
 
 def test_h_polynomial_examples():
     assert h_polynomial(Signature((1, 1, 1))).coeffs == (1, 2, 3, 1)
     assert h_polynomial(Signature((1, 5, 1))).coeffs == (1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1)
     assert h_polynomial(Signature((7,))).coeffs == (1,)
+    assert h_polynomial(Signature((12,))).coeffs == (1,)
+    assert h_polynomial(Signature((1, 9))).coeffs == (1,) * 10
+    assert h_polynomial(Signature((9,))).coeffs == (1,)
 
 
 def test_h_equals_f_round_trip():
